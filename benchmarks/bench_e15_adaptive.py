@@ -5,9 +5,8 @@ families — but only when callers opted in with
 ``execution_mode="vectorized"``. E15 measures the zero-knob default:
 ``EngineConfig()`` now resolves to adaptive execution, which prices
 every plan in both row and vectorized terms from live table
-statistics, fuses scan->filter->project and scan->filter->aggregate
-pipelines into single compiled passes, and partitions scans into
-morsels when workers are configured.
+statistics and fuses scan->filter->project and scan->filter->aggregate
+pipelines into single compiled passes, all on the calling thread.
 
 Two claims are under test, both with *no configuration at all*:
 

@@ -35,7 +35,6 @@ from repro.core.query.logical import (
     LogicalProject,
     LogicalScan,
 )
-from repro.core.query.morsel import resolve_workers
 
 
 @dataclass(frozen=True)
@@ -47,9 +46,6 @@ class EngineChoice:
     vec_cost: float
     reason: str
     batch_size: int
-    workers: int
-    #: Scan->filter->project/aggregate shapes the lowering can fuse.
-    fusible: int = 0
 
 
 class _Survey:
@@ -58,7 +54,6 @@ class _Survey:
     def __init__(self) -> None:
         self.row_cost = 0.0
         self.vec_extra = 0.0  # on top of VEC_SETUP_COST
-        self.fusible = 0
         self.row_only_reason: str | None = None
         self.widest_scan = 0.0
         self._pending = []  # (kind, *args) priced once batch size known
@@ -136,13 +131,11 @@ def _walk(node: LogicalNode, estimator, survey: _Survey) -> None:
         survey._pending.append(("aggregate", rows_in))
         _walk(node.child, estimator, survey)
         if _is_fusible_scan(node.child):
-            survey.fusible += 1
             _mark_last_seq_fused(survey)
         return
     for child in node.children():
         _walk(child, estimator, survey)
     if isinstance(node, LogicalProject) and _is_fusible_scan(node.child):
-        survey.fusible += 1
         _mark_last_seq_fused(survey)
 
 
@@ -181,7 +174,7 @@ def choice_key(node: LogicalNode) -> tuple:
             *(choice_key(child) for child in node.children()))
 
 
-def choose_engine(node: LogicalNode, estimator, config) -> EngineChoice:
+def choose_engine(node: LogicalNode, estimator) -> EngineChoice:
     """Price *node* both ways and pick the cheaper engine."""
     survey = _Survey()
     _walk(node, estimator, survey)
@@ -194,7 +187,7 @@ def choose_engine(node: LogicalNode, estimator, config) -> EngineChoice:
         return EngineChoice(
             mode="row", row_cost=row_cost, vec_cost=vec_cost,
             reason=survey.row_only_reason,
-            batch_size=batch_size, workers=1, fusible=0,
+            batch_size=batch_size,
         )
     vec_cost = survey.price(batch_size)
     if vec_cost < row_cost:
@@ -203,12 +196,10 @@ def choose_engine(node: LogicalNode, estimator, config) -> EngineChoice:
             reason=("wide scan amortizes batch setup "
                     f"(vec {vec_cost:.0f} < row {row_cost:.0f})"),
             batch_size=batch_size,
-            workers=resolve_workers(getattr(config, "morsel_workers", 0)),
-            fusible=survey.fusible,
         )
     return EngineChoice(
         mode="row", row_cost=row_cost, vec_cost=vec_cost,
         reason=("too few rows to amortize batch setup "
                 f"(row {row_cost:.0f} <= vec {vec_cost:.0f})"),
-        batch_size=batch_size, workers=1, fusible=0,
+        batch_size=batch_size,
     )

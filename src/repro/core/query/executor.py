@@ -102,12 +102,10 @@ class EngineConfig:
     #: projections). Results are identical in every mode; see
     #: docs/VECTORIZED.md for the parity contract.
     execution_mode: str = "adaptive"
-    #: Rows per batch in vectorized mode. Adaptive mode treats this as
-    #: an upper default and sizes batches to the plan's widest scan.
+    #: Rows per batch in explicit ``"vectorized"`` mode. Adaptive mode
+    #: ignores it: there the batch size comes from
+    #: ``cost.adaptive_batch_size`` over the plan's widest scan.
     vector_batch_size: int = 1024
-    #: Worker threads for morsel-parallel scans under adaptive
-    #: execution; 0 means auto (one per CPU core).
-    morsel_workers: int = 0
 
     def __post_init__(self) -> None:
         if self.execution_mode not in ("adaptive", "row", "vectorized"):
@@ -117,8 +115,6 @@ class EngineConfig:
             )
         if self.vector_batch_size < 1:
             raise QueryError("vector_batch_size must be positive")
-        if self.morsel_workers < 0:
-            raise QueryError("morsel_workers must be >= 0 (0 = auto)")
 
     def planner_config(self) -> PlannerConfig:
         return PlannerConfig(
@@ -197,10 +193,8 @@ class QueryEngine:
         # lowering (set around plan/run, cleared in a finally).
         self._fetch_deadline: Deadline | None = None
         self._fetch_statuses: dict[str, str] | None = None
-        # Adaptive execution: fused kernels cached per plan shape, and
-        # the last per-query engine choice (for the analyze trailer).
-        from repro.core.query.fused import CompiledPlanCache
-        self.plan_cache = CompiledPlanCache()
+        # Adaptive execution: the last per-query engine choice (for the
+        # analyze trailer).
         self._last_choice = None
         # Engine choices memoized per plan shape: a point lookup must
         # not pay a full cost walk on every execute. Dropped wholesale
@@ -554,7 +548,7 @@ class QueryEngine:
         choice = self._last_choice
         if choice is not None:
             # Adaptive mode: report the resolved engine, both cost
-            # estimates, why, and the fusion/morsel actuals. Explicit
+            # estimates, why, and the fusion actuals. Explicit
             # row/vectorized modes keep their exact historical dict.
             execution["mode"] = choice.mode
             execution["requested"] = "adaptive"
@@ -562,8 +556,6 @@ class QueryEngine:
             execution["vec_cost"] = round(choice.vec_cost, 1)
             execution["reason"] = choice.reason
             execution["fused"] = counters.fused_pipelines
-            execution["workers"] = choice.workers
-            execution["morsels"] = counters.morsels
         if counters.batches_emitted:
             execution["batches"] = counters.batches_emitted
             execution["rows_per_batch"] = round(
@@ -702,10 +694,10 @@ class QueryEngine:
 
         ``adaptive`` (the default) prices the plan in both row and
         vectorized terms against the current statistics and dispatches
-        to the winner — with pipeline fusion, an adaptive batch size,
-        and the morsel worker pool enabled on the vectorized side.
-        The choice lands in ``self._last_choice`` for the analyze
-        trailer.
+        to the winner, with an adaptive batch size on the vectorized
+        side. The choice lands in ``self._last_choice`` for the analyze
+        trailer. Both vectorized paths run one fused pipeline on the
+        calling thread.
         """
         mode = self.config.execution_mode
         choice = None
@@ -725,8 +717,7 @@ class QueryEngine:
             key = choice_key(node)
             choice = self._choice_cache.get(key)
             if choice is None:
-                choice = choose_engine(node, self.planner.estimator,
-                                       self.config)
+                choice = choose_engine(node, self.planner.estimator)
                 if len(self._choice_cache) >= 256:
                     self._choice_cache.pop(
                         next(iter(self._choice_cache)))
@@ -735,16 +726,10 @@ class QueryEngine:
         self._last_choice = choice
         if mode == "vectorized":
             from repro.core.query.vectorized import VectorizedLowering
-            if choice is not None:
-                lowering = VectorizedLowering(
-                    self, counters, probe=probe, clock=clock,
-                    batch_size=choice.batch_size,
-                    fuse=True, plan_cache=self.plan_cache,
-                    workers=choice.workers,
-                )
-            else:
-                lowering = VectorizedLowering(self, counters,
-                                              probe=probe, clock=clock)
+            batch_size = choice.batch_size if choice is not None else None
+            lowering = VectorizedLowering(self, counters, probe=probe,
+                                          clock=clock,
+                                          batch_size=batch_size)
             return lowering.lower_plan(node)
         return self._to_physical(node, counters, probe=probe,
                                  clock=clock)

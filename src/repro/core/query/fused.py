@@ -3,21 +3,12 @@
 The vectorized engine's scan->filter->project and
 scan->filter->aggregate plans each spend a pipeline stage materializing
 an intermediate :class:`~repro.core.query.vectorized.Batch` that the
-next operator immediately consumes. Under adaptive execution these two
-shapes are *fused*: the compiled predicate closures from
+next operator immediately consumes. The vectorized lowering *fuses*
+these two shapes: the compiled predicate closures from
 :mod:`repro.core.query.predicates` run straight over the
 :class:`~repro.storage.columnar.ColumnStore` buffers, and the selected
 positions feed projection gathers or aggregation folds directly — one
 operator, one pass, no intermediate batch.
-
-Fused kernels are cached in a :class:`CompiledPlanCache` keyed by
-normalized plan shape (table, residual triples, output shape). A kernel
-captures column *names* and compiled closures — never buffer
-references — so cached kernels survive compaction and mutations; the
-cache is invalidated wholesale when the owning DrugTree's
-``stats_epoch`` advances (ANALYZE refresh or schema change), with
-hit/miss counters in the ``MetricsRegistry``
-(``fused.cache_hits`` / ``fused.cache_misses``).
 
 Counter parity with the unfused pipelines is exact: the scan half
 counts ``rows_scanned`` per chunk and ``rows_emitted`` per selected
@@ -44,130 +35,43 @@ from repro.core.query.vectorized import (
     _filter_positions,
     batch_from_rows,
 )
-from repro.obs import get_metrics
-
-
-class FusedKernel:
-    """The compiled, data-independent half of a fused pipeline."""
-
-    __slots__ = ("kind", "residual", "compiled", "columns",
-                 "aggregates", "group_by")
-
-    def __init__(self, kind: str, residual, columns=None,
-                 aggregates=None, group_by=None) -> None:
-        self.kind = kind  # "project" | "aggregate"
-        self.residual = residual
-        self.compiled = compile_columns(residual)
-        self.columns = columns
-        self.aggregates = aggregates
-        self.group_by = group_by
-
-
-class CompiledPlanCache:
-    """Fused kernels keyed by normalized plan shape.
-
-    One statistics epoch per generation: when the epoch advances the
-    whole cache is dropped (statistics or schema changed under it).
-    Unhashable shapes simply bypass the cache.
-    """
-
-    def __init__(self, capacity: int = 128) -> None:
-        self.capacity = capacity
-        self._entries: dict[Any, FusedKernel] = {}
-        self._epoch: Any = None
-
-    def lookup(self, key: Any, epoch: Any) -> FusedKernel | None:
-        if epoch != self._epoch:
-            self._entries.clear()
-            self._epoch = epoch
-        kernel = self._entries.get(key)
-        if kernel is not None:
-            get_metrics().counter("fused.cache_hits").inc()
-        else:
-            get_metrics().counter("fused.cache_misses").inc()
-        return kernel
-
-    def store(self, key: Any, epoch: Any, kernel: FusedKernel) -> None:
-        if epoch != self._epoch:
-            self._entries.clear()
-            self._epoch = epoch
-        if len(self._entries) >= self.capacity:
-            self._entries.pop(next(iter(self._entries)))
-        self._entries[key] = kernel
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-def _shape_key(node: LogicalNode, scan: LogicalScan) -> Any:
-    residual = tuple((c.column, c.op, c.value) for c in scan.residual)
-    if isinstance(node, LogicalProject):
-        key = ("project", scan.table, residual, node.columns)
-    else:
-        assert isinstance(node, LogicalAggregate)
-        aggs = tuple((a.func, a.column, a.output_name)
-                     for a in node.aggregates)
-        key = ("aggregate", scan.table, residual, aggs, node.group_by)
-    try:
-        hash(key)
-    except TypeError:
-        return None
-    return key
 
 
 class _FusedScanBase(VectorOp):
     """Shared one-pass scan half of the fused operators."""
 
-    def __init__(self, counters: ExecCounters, store,
-                 kernel: FusedKernel, batch_size: int,
-                 pool=None, scan_stats=None) -> None:
+    def __init__(self, counters: ExecCounters, store, residual,
+                 batch_size: int, scan_stats=None) -> None:
         super().__init__(counters)
         self.store = store
-        self.kernel = kernel
+        self.residual = residual
+        self.compiled = compile_columns(residual)
         self.batch_size = batch_size
-        self.pool = pool
         #: EXPLAIN ANALYZE stats node for the fused-away scan: fusion
         #: removes the scan operator, not its accounting.
         self.scan_stats = scan_stats
 
     def _positions(self):
         durable = self.store.table.durable
-        if durable is not None and self.kernel.residual:
+        if durable is not None and self.residual:
             positions = durable.scan_positions(
-                self.store, self.kernel.residual, self.counters,
+                self.store, self.residual, self.counters,
             )
             if positions is not None:
                 return positions
         return self.store.live_positions()
 
     def _selected_chunks(self) -> Iterator[list[int]]:
-        """Yield the surviving positions of each morsel, in scan order.
-
-        Counters advance on the coordinating thread as results are
-        consumed; pool workers only evaluate the pure compiled filter.
-        """
+        """Yield the surviving positions of each batch, in scan order."""
         positions = self._positions()
         size = self.batch_size
-        chunks = [positions[start:start + size]
-                  for start in range(0, len(positions), size)]
         store = self.store
-        compiled = self.kernel.compiled
-        pool = self.pool
+        compiled = self.compiled
         scan_stats = self.scan_stats
         if scan_stats is not None:
             scan_stats.loops += 1
-        if pool is not None and pool.workers > 1 and len(chunks) > 1:
-            def work(chunk):
-                return _filter_positions(chunk, store, compiled)
-            results = pool.imap_ordered(work, chunks)
-            for chunk, selected in zip(chunks, results):
-                self.counters.rows_scanned += len(chunk)
-                self.counters.morsels += 1
-                if scan_stats is not None:
-                    scan_stats.rows_out += len(selected)
-                yield list(selected)
-            return
-        for chunk in chunks:
+        for start in range(0, len(positions), size):
+            chunk = positions[start:start + size]
             self.counters.rows_scanned += len(chunk)
             selected = list(_filter_positions(chunk, store, compiled))
             if scan_stats is not None:
@@ -178,8 +82,14 @@ class _FusedScanBase(VectorOp):
 class FusedScanProjectOp(_FusedScanBase):
     """scan->filter->project in one pass over ColumnStore buffers."""
 
+    def __init__(self, counters: ExecCounters, store, residual,
+                 batch_size: int, scan_stats, columns) -> None:
+        super().__init__(counters, store, residual, batch_size,
+                         scan_stats)
+        self.columns = columns
+
     def batches(self) -> Iterator[Batch]:
-        out_columns = self.kernel.columns
+        out_columns = self.columns
         unique = tuple(dict.fromkeys(out_columns))
         store = self.store
         for selected in self._selected_chunks():
@@ -196,13 +106,20 @@ class FusedScanAggregateOp(_FusedScanBase):
 
     Folds accumulate per selected chunk in scan order, so float
     results are bit-identical to the row engine's one-row-at-a-time
-    folds regardless of batch size or worker count.
+    folds regardless of batch size.
     """
 
+    def __init__(self, counters: ExecCounters, store, residual,
+                 batch_size: int, scan_stats, aggregates,
+                 group_by) -> None:
+        super().__init__(counters, store, residual, batch_size,
+                         scan_stats)
+        self.aggregates = aggregates
+        self.group_by = group_by
+
     def batches(self) -> Iterator[Batch]:
-        kernel = self.kernel
-        aggregates = kernel.aggregates
-        group_by = kernel.group_by
+        aggregates = self.aggregates
+        group_by = self.group_by
         store = self.store
         groups: dict[Any, dict[str, _AggState]] = {}
         saw_rows = False
@@ -273,9 +190,8 @@ def try_fuse(lowering, node: LogicalNode,
              stats=None) -> VectorOp | None:
     """Build a fused operator for *node* if its shape allows, else None.
 
-    Called from ``VectorizedLowering._lower`` under adaptive execution
-    only; explicit ``execution_mode="vectorized"`` keeps the unfused
-    operator pipeline byte-for-byte.
+    Called from ``VectorizedLowering._lower`` for every aggregate and
+    projection, under both adaptive and explicit vectorized execution.
     """
     scan = getattr(node, "child", None)
     if not isinstance(scan, LogicalScan) or scan.access != "seq":
@@ -286,42 +202,23 @@ def try_fuse(lowering, node: LogicalNode,
     store = table.column_store()
     names = set(store.column_names)
     if isinstance(node, LogicalProject):
-        if any(c in REMOTE_DETAIL_COLUMNS for c in node.columns):
-            return None
-        if not all(c in names for c in node.columns):
-            return None
-        kind = "project"
+        fusible = (not any(c in REMOTE_DETAIL_COLUMNS for c in node.columns)
+                   and all(c in names for c in node.columns))
     elif isinstance(node, LogicalAggregate):
-        if node.group_by is not None and node.group_by not in names:
-            return None
-        if not all(agg.column == "*" or agg.column in names
-                   for agg in node.aggregates):
-            return None
-        kind = "aggregate"
+        fusible = ((node.group_by is None or node.group_by in names)
+                   and all(agg.column == "*" or agg.column in names
+                           for agg in node.aggregates))
     else:
         return None
-
-    kernel = None
-    key = _shape_key(node, scan)
-    cache = lowering.plan_cache
-    epoch = getattr(lowering.engine.drugtree, "stats_epoch", None)
-    if cache is not None and key is not None:
-        kernel = cache.lookup(key, epoch)
-    if kernel is None:
-        if kind == "project":
-            kernel = FusedKernel(kind, scan.residual,
-                                 columns=node.columns)
-        else:
-            kernel = FusedKernel(kind, scan.residual,
-                                 aggregates=node.aggregates,
-                                 group_by=node.group_by)
-        if cache is not None and key is not None:
-            cache.store(key, epoch, kernel)
+    if not fusible:
+        return None
     lowering.counters.fused_pipelines += 1
     scan_stats = None
     if stats is not None:
         # Keep the fused-away scan visible in operator actuals.
         scan_stats = stats.child(scan.describe(), scan.estimated_rows)
-    cls = FusedScanProjectOp if kind == "project" else FusedScanAggregateOp
-    return cls(lowering.counters, store, kernel, lowering.batch_size,
-               pool=lowering.pool, scan_stats=scan_stats)
+    args = (lowering.counters, store, scan.residual, lowering.batch_size,
+            scan_stats)
+    if isinstance(node, LogicalProject):
+        return FusedScanProjectOp(*args, node.columns)
+    return FusedScanAggregateOp(*args, node.aggregates, node.group_by)

@@ -53,7 +53,7 @@ from repro.core.query.logical import (
     LogicalProject,
     LogicalScan,
 )
-from repro.core.query.rules import normalize
+from repro.core.query.rules import normalize, tightest_bounds
 from repro.errors import PlanError
 from repro.storage.table import Table
 
@@ -340,17 +340,9 @@ class Planner:
             index = table.index_on(column, require_range=True)
             if index is None:
                 continue
-            low = high = None
-            include_low = include_high = True
-            for bound in bounds:
-                if bound.op in (">", ">="):
-                    if low is None or bound.value > low:
-                        low = bound.value
-                        include_low = bound.op == ">="
-                else:
-                    if high is None or bound.value < high:
-                        high = bound.value
-                        include_high = bound.op == "<="
+            lower, upper = tightest_bounds(bounds)
+            low, include_low = lower or (None, True)
+            high, include_high = upper or (None, True)
             residual = tuple(p for p in predicates if p not in bounds)
             matches = self.estimator.scan_rows(table_name, tuple(bounds))
             candidates.append((

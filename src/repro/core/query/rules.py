@@ -13,8 +13,12 @@ Applied before planning:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Any, Iterable
 
 from repro.core.query.ast import Comparison, Query
+
+#: One side of a range: ``(value, inclusive)``.
+Bound = tuple[Any, bool]
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,31 @@ def _contradictory(predicates: list[Comparison]) -> bool:
     return False
 
 
+def tightest_bounds(predicates: Iterable[Comparison],
+                    ) -> tuple[Bound | None, Bound | None]:
+    """The tightest lower and upper bound among *predicates*' ``<``,
+    ``<=``, ``>``, ``>=`` comparisons (all on one column), or ``None``
+    for a side with no bound.
+
+    On equal values the exclusive bound wins: ``x < 11`` is tighter
+    than ``x <= 11``, and ``x > 4`` tighter than ``x >= 4``.
+    """
+    lower: Bound | None = None
+    upper: Bound | None = None
+    for predicate in predicates:
+        value = predicate.value
+        if predicate.op in (">", ">="):
+            inclusive = predicate.op == ">="
+            if lower is None or (value, not inclusive) > (lower[0],
+                                                          not lower[1]):
+                lower = (value, inclusive)
+        elif predicate.op in ("<", "<="):
+            inclusive = predicate.op == "<="
+            if upper is None or (value, inclusive) < upper:
+                upper = (value, inclusive)
+    return lower, upper
+
+
 def column_contradiction(predicates: list[Comparison]) -> bool:
     """True if AND-ing *predicates* (all on one column) is unsatisfiable.
 
@@ -93,19 +122,7 @@ def column_contradiction(predicates: list[Comparison]) -> bool:
             return True
         if equalities and equalities[0] not in common:
             return True
-    lower: tuple[float, bool] | None = None  # (bound, inclusive)
-    upper: tuple[float, bool] | None = None
-    for predicate in predicates:
-        value = predicate.value
-        if predicate.op in (">", ">="):
-            inclusive = predicate.op == ">="
-            if lower is None or (value, not inclusive) > (lower[0],
-                                                          not lower[1]):
-                lower = (value, inclusive)
-        elif predicate.op in ("<", "<="):
-            inclusive = predicate.op == "<="
-            if upper is None or (value, inclusive) < (upper[0], upper[1]):
-                upper = (value, inclusive)
+    lower, upper = tightest_bounds(predicates)
     if lower is not None and upper is not None:
         try:
             if lower[0] > upper[0]:

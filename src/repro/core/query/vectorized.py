@@ -227,7 +227,7 @@ class _VecScanBase(VectorOp):
 
     def __init__(self, counters: ExecCounters, store: ColumnStore,
                  residual, columns: tuple[str, ...] | None,
-                 batch_size: int, pool=None) -> None:
+                 batch_size: int) -> None:
         super().__init__(counters)
         self.store = store
         self.residual = residual
@@ -238,7 +238,6 @@ class _VecScanBase(VectorOp):
             self.columns = tuple(c for c in store.column_names
                                  if c in columns)
         self.batch_size = batch_size
-        self.pool = pool
 
     def _scan_chunk(self, chunk: Sequence[int]) -> Batch | None:
         """Count, filter, and gather one chunk of buffer positions."""
@@ -255,41 +254,10 @@ class _VecScanBase(VectorOp):
     def _scan_positions(self, positions: Sequence[int],
                         ) -> Iterator[Batch]:
         size = self.batch_size
-        pool = self.pool
-        if (pool is not None and pool.workers > 1
-                and len(positions) > size):
-            yield from self._scan_morsels(positions)
-            return
         for start in range(0, len(positions), size):
             batch = self._scan_chunk(positions[start:start + size])
             if batch is not None:
                 yield self._emit(batch)
-
-    def _scan_morsels(self, positions: Sequence[int],
-                      ) -> Iterator[Batch]:
-        """Parallel filter over morsels; counters, gathers, and batch
-        emission stay on the coordinating thread, in morsel order, so
-        output is bit-identical to the sequential path."""
-        size = self.batch_size
-        chunks = [positions[start:start + size]
-                  for start in range(0, len(positions), size)]
-        store = self.store
-        compiled = self.compiled
-
-        def work(chunk):
-            return _filter_positions(chunk, store, compiled)
-
-        for chunk, selected in zip(chunks,
-                                   self.pool.imap_ordered(work, chunks)):
-            self.counters.rows_scanned += len(chunk)
-            self.counters.morsels += 1
-            if not selected:
-                continue
-            self.counters.rows_emitted += len(selected)
-            columns = {name: store.gather(name, list(selected))
-                       for name in self.columns}
-            yield self._emit(Batch(self.columns, columns,
-                                   len(selected)))
 
 
 class VecSeqScanOp(_VecScanBase):
@@ -707,23 +675,13 @@ class VectorizedLowering:
 
     def __init__(self, engine, counters: ExecCounters,
                  probe: OperatorStats | None = None,
-                 clock=None, batch_size: int | None = None,
-                 fuse: bool = False, plan_cache=None,
-                 workers: int = 1) -> None:
+                 clock=None, batch_size: int | None = None) -> None:
         self.engine = engine
         self.counters = counters
         self.probe = probe
         self.clock = clock
         self.batch_size = batch_size or engine.config.vector_batch_size
         self.needed: set[str] | None = None
-        #: Adaptive-mode extras. Explicit ``vectorized`` mode keeps all
-        #: three off so its operator pipeline stays byte-identical.
-        self.fuse = fuse
-        self.plan_cache = plan_cache
-        self.pool = None
-        if workers > 1:
-            from repro.core.query.morsel import MorselPool
-            self.pool = MorselPool(workers)
 
     def lower_plan(self, node: LogicalNode):
         self.needed = needed_columns(node)
@@ -776,12 +734,13 @@ class VectorizedLowering:
                                      probe=right, key=node.key)
             return VecHashJoinOp(self.counters, build=right,
                                  probe=left, key=node.key)
+        if isinstance(node, (LogicalAggregate, LogicalProject)):
+            # Deferred: fused builds on this module's operators.
+            from repro.core.query.fused import try_fuse
+            fused = try_fuse(self, node, stats)
+            if fused is not None:
+                return fused
         if isinstance(node, LogicalAggregate):
-            if self.fuse:
-                from repro.core.query.fused import try_fuse
-                fused = try_fuse(self, node, stats)
-                if fused is not None:
-                    return fused
             child = self._child_batches(node.child, stats)
             return VecHashAggregateOp(self.counters, child,
                                       node.aggregates, node.group_by)
@@ -789,11 +748,6 @@ class VectorizedLowering:
             child = self._child_batches(node.child, stats)
             return VecFilterOp(self.counters, child, node.conditions)
         if isinstance(node, LogicalProject):
-            if self.fuse:
-                from repro.core.query.fused import try_fuse
-                fused = try_fuse(self, node, stats)
-                if fused is not None:
-                    return fused
             child = self._to_vector(node.child, stats)
             remote = tuple(c for c in node.columns
                            if c in REMOTE_DETAIL_COLUMNS)
@@ -825,8 +779,7 @@ class VectorizedLowering:
         columns = self.needed
         if node.access == "seq":
             return VecSeqScanOp(self.counters, store, node.residual,
-                                columns, self.batch_size,
-                                pool=self.pool)
+                                columns, self.batch_size)
         if node.access == "index_eq":
             assert node.access_column is not None
             index = table.index_on(node.access_column)

@@ -192,12 +192,6 @@ class AnalyzeReport:
                 parts.append(
                     f"fused={self.execution.get('fused', 0)}"
                 )
-                parts.append(
-                    f"workers={self.execution.get('workers', 1)}"
-                )
-                parts.append(
-                    f"morsels={self.execution.get('morsels', 0)}"
-                )
             if "batches" in self.execution:
                 parts.append(f"batches={self.execution['batches']}")
                 parts.append(

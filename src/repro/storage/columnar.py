@@ -3,9 +3,10 @@
 A :class:`ColumnStore` mirrors one :class:`~repro.storage.table.Table`
 as dense per-column Python lists, kept in sync through the table's
 insert/delete change listeners — the same contract secondary indexes
-and materialized views already use, so the row store stays the single
-source of truth and E10's write-amplification accounting extends to it
-naturally (every insert now also appends one value per column).
+and the overlay's clade aggregates already use, so the row store stays
+the single source of truth and E10's write-amplification accounting
+extends to it naturally (every insert now also appends one value per
+column).
 
 Layout
 ------

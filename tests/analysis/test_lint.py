@@ -91,7 +91,7 @@ class TestL002BareAcquire:
 
 class TestL003SharedStateWrites:
     """L003 now rides thread reachability: a write is flagged when a
-    thread entry (``pool.submit`` / ``imap_ordered`` / ``Thread``)
+    thread entry (``pool.submit`` / ``Thread``)
     can reach it and no lock dominates every path to it — no class
     allowlist, no directory list."""
 
@@ -415,10 +415,10 @@ class TestL007FileMutation:
 
 class TestL008MorselWorkerPurity:
     """L008 now fires on *registered* workers — closures handed to
-    ``pool.imap_ordered`` / ``pool.submit`` — wherever they live; the
-    old morsel/fused/vectorized directory allowlist is gone."""
+    ``pool.submit`` or ``Thread(target=...)`` — wherever they live; the
+    old directory allowlist is gone."""
 
-    MORSEL_PATH = "src/repro/core/query/morsel.py"
+    POOL_PATH = "src/repro/sources/scheduler.py"
 
     def test_attribute_write_in_worker_flagged(self):
         # A neutral path: registration, not directory, makes a worker.
@@ -428,7 +428,7 @@ class TestL008MorselWorkerPurity:
                     def work(chunk):
                         self.counters.rows_scanned += len(chunk)
                         return chunk
-                    return list(pool.imap_ordered(work, chunks))
+                    return [pool.submit(work, c) for c in chunks]
         """, path="src/repro/core/query/physical.py")
         assert codes(found) == ["L008"]
         assert "coordinating thread" in found[0].message
@@ -450,8 +450,8 @@ class TestL008MorselWorkerPurity:
                 def work(chunk):
                     nonlocal total
                     total += len(chunk)
-                for kept in pool.imap_ordered(work, chunks):
-                    pass
+                for chunk in chunks:
+                    pool.submit(work, chunk).result()
                 return total
         """, path="src/repro/core/query/vectorized.py")
         assert codes(found) == ["L008"]
@@ -477,19 +477,19 @@ class TestL008MorselWorkerPurity:
                 def scan(self, chunks, pool):
                     def work(chunk):
                         return [c for c in chunk if c > 0]
-                    for chunk, kept in zip(chunks,
-                                           pool.imap_ordered(work, chunks)):
+                    futures = [pool.submit(work, c) for c in chunks]
+                    for chunk, future in zip(chunks, futures):
                         self.counters.rows_scanned += len(chunk)
-                        yield kept
-        """, path=self.MORSEL_PATH) == []
+                        yield future.result()
+        """, path=self.POOL_PATH) == []
 
     def test_coordinator_writes_pass(self):
         # Method-level (non-nested) writes are the coordinator's job.
         assert run("""\
             class Op:
                 def scan(self, chunks):
-                    self.counters.morsels += len(chunks)
-        """, path=self.MORSEL_PATH) == []
+                    self.counters.batches += len(chunks)
+        """, path=self.POOL_PATH) == []
 
     def test_lock_guard_exempts_worker_write(self):
         assert run("""\
@@ -498,19 +498,19 @@ class TestL008MorselWorkerPurity:
                     def work(chunk):
                         with self.lock:
                             self.partials[id(chunk)] = len(chunk)
-                    return list(pool.imap_ordered(work, chunks))
-        """, path=self.MORSEL_PATH) == []
+                    return [pool.submit(work, c) for c in chunks]
+        """, path=self.POOL_PATH) == []
 
     def test_unregistered_closure_is_not_a_worker(self):
         # Never submitted to a pool — runs on the caller's thread, so
-        # its writes are plain coordinator writes (even in morsel.py).
+        # its writes are plain coordinator writes.
         assert run("""\
             class Op:
                 def scan(self, chunks):
                     def work(chunk):
                         self.counters.rows_scanned += len(chunk)
                     return [work(c) for c in chunks]
-        """, path=self.MORSEL_PATH) == []
+        """, path=self.POOL_PATH) == []
 
 
 class TestSuppression:

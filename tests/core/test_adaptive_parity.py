@@ -1,18 +1,20 @@
 """Differential suite: adaptive execution must match both engines.
 
 ``execution_mode="adaptive"`` (the default) is allowed to pick a
-different physical engine per query, fuse pipelines, and spread scans
-over morsel workers — but none of that may ever change an answer.
-Every workload family runs under row, vectorized, and adaptive modes
-(semantic cache off) at worker counts 1, 2, and 8, and all three must
-agree bit-for-bit on rows and on the accounting counters
-``rows_scanned`` / ``rows_emitted`` / ``index_probes``.
+different physical engine per query and to size its batches per plan
+— but none of that may ever change an answer. Every workload family
+runs under row, vectorized, and adaptive modes (semantic cache off),
+and all three must agree bit-for-bit on rows and on the accounting
+counters ``rows_scanned`` / ``rows_emitted`` / ``index_probes``.
 
 The suite also pins the adaptive-only machinery: the cost crossover
-(index probes stay row, wide scans go vectorized), the compiled-plan
-cache (hits, misses, invalidation on re-ANALYZE), the mutation
-staleness trigger, and the morsel pool's order-restoring merge.
+(index probes stay row, wide scans go vectorized), the mutation
+staleness trigger, and that the default engine scans on the calling
+thread.
 """
+
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -24,7 +26,6 @@ from repro.core.query.cost import (
     MIN_VEC_BATCH,
     adaptive_batch_size,
 )
-from repro.core.query.morsel import MorselPool, resolve_workers
 from repro.obs import MetricsRegistry, set_metrics
 from repro.sources import (
     BreakerConfig,
@@ -37,7 +38,6 @@ from repro.workloads import DatasetConfig, QueryGenerator, build_dataset
 from repro.workloads.queries import ALL_KINDS
 
 COUNTER_KEYS = ("rows_scanned", "rows_emitted", "index_probes")
-WORKER_COUNTS = (1, 2, 8)
 
 
 @pytest.fixture(autouse=True)
@@ -52,28 +52,24 @@ def make_dataset(seed=17, n_leaves=16, n_ligands=24):
                                        n_ligands=n_ligands, seed=seed))
 
 
-def make_engine(drugtree, mode, workers=1, batch_size=None,
-                federation=None):
+def make_engine(drugtree, mode, batch_size=None, federation=None):
     kwargs = {"federation": federation} if federation else {}
     config_kwargs = {
         "use_semantic_cache": False,
         "execution_mode": mode,
     }
-    if mode == "adaptive":
-        config_kwargs["morsel_workers"] = workers
     if batch_size is not None:
         config_kwargs["vector_batch_size"] = batch_size
     return QueryEngine(drugtree, EngineConfig(**config_kwargs), **kwargs)
 
 
-def make_trio(dataset, workers=1, federated=False):
+def make_trio(dataset, federated=False):
     """Row, vectorized, and adaptive engines over the same DrugTree."""
     drugtree = dataset.drugtree()
     federation = (FetchScheduler(dataset.registry)
                   if federated else None)
     return tuple(
-        make_engine(drugtree, mode, workers=workers,
-                    federation=federation)
+        make_engine(drugtree, mode, federation=federation)
         for mode in ("row", "vectorized", "adaptive")
     )
 
@@ -106,28 +102,27 @@ class TestWorkloadFamilies:
             got_row, _, got_ada = assert_three_way_parity(engines, query)
             assert got_ada.degraded == got_row.degraded
 
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_worker_count_never_changes_answers(self, workers):
+    def test_all_kinds_on_one_engine_trio(self):
         dataset = make_dataset(seed=7)
-        engines = make_trio(dataset, workers=workers)
+        engines = make_trio(dataset)
         generator = QueryGenerator(dataset.family, dataset.ligands,
                                    seed=7)
         for kind in ALL_KINDS:
             assert_three_way_parity(engines, generator.draw(kind))
 
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_float_folds_bit_identical_across_workers(self, workers):
-        """Aggregation means/sums must not drift with parallelism."""
+    def test_float_folds_bit_identical_across_batches(self):
+        """Aggregation means/sums must not drift with batch size."""
         dataset = make_dataset(seed=13, n_leaves=20, n_ligands=30)
         drugtree = dataset.drugtree()
-        # Tiny batches force many morsels so the pool actually splits.
-        engine = make_engine(drugtree, "adaptive", workers=workers,
-                             batch_size=16)
         reference = make_engine(drugtree, "row")
         dtql = ("SELECT organism, count(*), mean(p_affinity), "
                 "min(logp), max(logp) FROM bindings "
                 "GROUP BY organism ORDER BY organism")
-        assert engine.execute(dtql).rows == reference.execute(dtql).rows
+        expected = reference.execute(dtql).rows
+        # Tiny explicit batches split the fused fold into many chunks.
+        for engine in (make_engine(drugtree, "adaptive"),
+                       make_engine(drugtree, "vectorized", batch_size=16)):
+            assert engine.execute(dtql).rows == expected
 
 
 class TestDtqlParity:
@@ -143,11 +138,10 @@ class TestDtqlParity:
         "WHERE organism = 'Homo sapiens' AND logp <= 3.0",
     )
 
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("dtql", QUERIES)
-    def test_dtql_parity(self, dtql, workers):
+    def test_dtql_parity(self, dtql):
         dataset = make_dataset(seed=23)
-        engines = make_trio(dataset, workers=workers)
+        engines = make_trio(dataset)
         assert_three_way_parity(engines, dtql)
 
 
@@ -227,8 +221,7 @@ class TestAdaptiveChoice:
         from repro.core.query import parse_query
         plan = engine.planner.plan(
             parse_query("SELECT count(*) FROM bindings"))
-        choice = choose_engine(plan.logical, engine.planner.estimator,
-                               engine.config)
+        choice = choose_engine(plan.logical, engine.planner.estimator)
         assert choice.mode == "vectorized"
         assert choice.row_cost > choice.vec_cost
         assert MIN_VEC_BATCH <= choice.batch_size <= MAX_VEC_BATCH
@@ -238,40 +231,6 @@ class TestAdaptiveChoice:
         assert adaptive_batch_size(100_000) == MAX_VEC_BATCH
         mid = adaptive_batch_size(10_000)
         assert MIN_VEC_BATCH < mid <= MAX_VEC_BATCH
-
-
-class TestCompiledPlanCache:
-    def _counters(self):
-        from repro.obs import get_metrics
-        return get_metrics().counter_values()
-
-    def test_repeat_query_hits_cache(self):
-        dataset = make_dataset(seed=23)
-        engine = make_engine(dataset.drugtree(), "adaptive")
-        dtql = "SELECT count(*) FROM bindings WHERE potent = true"
-        engine.execute(dtql)
-        first = self._counters()
-        assert first.get("fused.cache_misses", 0) >= 1
-        engine.execute(dtql)
-        second = self._counters()
-        assert second.get("fused.cache_hits", 0) >= 1
-        assert second.get("fused.cache_misses", 0) == \
-            first.get("fused.cache_misses", 0)
-
-    def test_reanalyze_invalidates_cache(self):
-        dataset = make_dataset(seed=23)
-        drugtree = dataset.drugtree()
-        engine = make_engine(drugtree, "adaptive")
-        dtql = "SELECT count(*) FROM bindings WHERE potent = true"
-        engine.execute(dtql)
-        engine.execute(dtql)
-        hits_before = self._counters().get("fused.cache_hits", 0)
-        misses_before = self._counters().get("fused.cache_misses", 0)
-        drugtree.refresh_statistics()  # bumps stats_epoch
-        engine.execute(dtql)
-        after = self._counters()
-        assert after.get("fused.cache_misses", 0) == misses_before + 1
-        assert after.get("fused.cache_hits", 0) == hits_before
 
 
 class TestMutationReanalyze:
@@ -310,25 +269,26 @@ class TestMutationReanalyze:
             base_count + STALE_MIN_MUTATIONS + 1
 
 
-class TestMorselPool:
-    def test_imap_ordered_restores_submission_order(self):
-        pool = MorselPool(8)
-        items = list(range(200))
-        # A skewed workload: early items finish last without the
-        # order-restoring merge.
-        def work(i):
-            total = 0
-            for _ in range((200 - i) % 37):
-                total += i
-            return (i, total)
-        results = list(pool.imap_ordered(work, items))
-        assert [i for i, _ in results] == items
+class TestCallingThread:
+    WIDE_QUERIES = (
+        # scan_agg and filter_project over a seq scan several batches wide.
+        "SELECT count(*), mean(p_affinity), max(p_affinity) "
+        "FROM bindings WHERE potent = true",
+        "SELECT ligand_id, p_affinity FROM bindings WHERE potent = true",
+    )
 
-    def test_single_worker_runs_inline(self):
-        pool = MorselPool(1)
-        assert list(pool.imap_ordered(lambda x: x * 2, [1, 2, 3])) == \
-            [2, 4, 6]
+    def test_default_engine_creates_no_thread(self, monkeypatch):
+        dataset = make_dataset(seed=23, n_leaves=20, n_ligands=30)
+        engine = QueryEngine(dataset.drugtree())
 
-    def test_resolve_workers(self):
-        assert resolve_workers(4) == 4
-        assert resolve_workers(0) >= 1
+        def refuse(*args, **kwargs):
+            raise AssertionError("query execution left the calling thread")
+
+        monkeypatch.setattr(ThreadPoolExecutor, "__init__", refuse)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        for dtql in self.WIDE_QUERIES:
+            report = engine.analyze(dtql)
+            assert report.execution["mode"] == "vectorized", dtql
+            assert report.execution["fused"] == 1, dtql
+            assert (report.counters["rows_scanned"]
+                    > report.execution["batch_size"]), dtql

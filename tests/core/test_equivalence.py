@@ -100,6 +100,29 @@ class TestGeneratedWorkloadEquivalence:
                    for outcome in outcomes)
 
 
+class TestRangeBoundTies:
+    """A subtree's ``leaf_pre < high`` bound tying a user bound
+    ``leaf_pre <= high`` must keep the exclusive one in the index
+    range scan, under every execution mode."""
+
+    CASES = (
+        ("SELECT * WHERE leaf_pre BETWEEN 4 AND 11 "
+         "IN SUBTREE 'prot_0001'", 25),
+        ("SELECT * WHERE leaf_pre <= 17 IN SUBTREE 'clade_0016'", 52),
+    )
+
+    @pytest.mark.parametrize("mode", ["row", "vectorized", "adaptive"])
+    @pytest.mark.parametrize("text,expected", CASES)
+    def test_matches_naive(self, world, mode, text, expected):
+        dataset, _, naive, _ = world
+        engine = QueryEngine(dataset.drugtree(),
+                             EngineConfig(execution_mode=mode))
+        fast = engine.execute(text)
+        slow = naive.execute(text)
+        assert len(slow.rows) == expected
+        assert _canonical(fast.rows) == _canonical(slow.rows)
+
+
 class TestCostAsymmetry:
     def test_naive_pays_remote_latency_every_query(self, world):
         dataset, optimized, naive, generator = world

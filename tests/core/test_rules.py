@@ -1,7 +1,7 @@
 """Tests for query normalisation rewrite rules."""
 
 from repro.core.query.ast import Comparison, Query
-from repro.core.query.rules import normalize
+from repro.core.query.rules import normalize, tightest_bounds
 
 
 def _q(*predicates):
@@ -108,3 +108,41 @@ class TestContradictions:
             Comparison("organism", "=", "a"),
         ))
         assert not result.contradiction
+
+
+class TestTightestBounds:
+    def test_exclusive_wins_ties(self):
+        lower, upper = tightest_bounds([
+            Comparison("leaf_pre", ">=", 4),
+            Comparison("leaf_pre", ">", 4),
+            Comparison("leaf_pre", "<=", 11),
+            Comparison("leaf_pre", "<", 11),
+        ])
+        assert lower == (4, False)
+        assert upper == (11, False)
+
+    def test_tie_order_does_not_matter(self):
+        lower, upper = tightest_bounds([
+            Comparison("leaf_pre", "<", 11),
+            Comparison("leaf_pre", "<=", 11),
+            Comparison("leaf_pre", ">", 4),
+            Comparison("leaf_pre", ">=", 4),
+        ])
+        assert lower == (4, False)
+        assert upper == (11, False)
+
+    def test_tighter_value_wins(self):
+        lower, upper = tightest_bounds([
+            Comparison("p_affinity", ">", 5.0),
+            Comparison("p_affinity", ">=", 6.0),
+            Comparison("p_affinity", "<", 9.0),
+            Comparison("p_affinity", "<=", 8.0),
+            Comparison("p_affinity", "=", 7.0),
+        ])
+        assert lower == (6.0, True)
+        assert upper == (8.0, True)
+
+    def test_missing_side_is_none(self):
+        assert tightest_bounds([Comparison("logp", "<", 3.0)]) == \
+            (None, (3.0, False))
+        assert tightest_bounds([]) == (None, None)

@@ -283,6 +283,4 @@ class TestDiagnostics:
             EngineConfig(execution_mode="simd")
         with pytest.raises(QueryError, match="batch"):
             EngineConfig(vector_batch_size=0)
-        with pytest.raises(QueryError, match="morsel"):
-            EngineConfig(morsel_workers=-1)
         assert EngineConfig().execution_mode == "adaptive"

@@ -219,8 +219,8 @@ class TestMisuse:
 
 
 class TestRealThreadRegistration:
-    """ParallelRegion is driven by real worker threads in the morsel
-    pool; registration, join accounting, and the active flag are all
+    """ParallelRegion is driven by real worker threads in the fetch
+    scheduler's pool; registration, join accounting, and the active flag are all
     guarded by _tasks_lock (regression for raced list appends)."""
 
     def test_tasks_register_from_worker_threads(self):
