@@ -28,11 +28,16 @@ from a seeded ``random.Random``. These rules enforce each mechanically:
           ``SourceError``-family exception whose body is only ``pass``
           / ``...`` hides degradation the resilience layer must flag
           (retry, record a breaker failure, or annotate a status).
-``L006``  No per-row dispatch in the batch path: inside
-          ``core/query/vectorized.py`` and ``storage/columnar.py``, no
+``L006``  No per-row dispatch and no order-changing reduction in the
+          batch path: inside ``core/query/vectorized.py``,
+          ``core/query/fused.py`` and ``storage/columnar.py``, no
           ``.matches(...)`` calls (compile the predicate once via
-          ``core/query/predicates.py``) and no ``row_as_dict`` calls
-          (gather column buffers instead of materializing row dicts).
+          ``core/query/predicates.py``), no ``row_as_dict`` calls
+          (gather column buffers instead of materializing row dicts),
+          and no ``np.sum``/``np.mean``/``np.add.reduce`` or
+          ``.sum()``/``.mean()`` (pairwise summation rounds unlike
+          the row engine's left fold; fold with a seeded
+          ``np.cumsum``, count with ``np.count_nonzero``).
 ``L007``  No direct file mutation outside ``storage/durable/`` and
           ``obs/``: ``open(...)`` with a writing mode (any of
           ``w``/``a``/``x``/``+``) or ``os.write`` anywhere else
@@ -118,10 +123,25 @@ def _is_core_path(path: str) -> bool:
 #: Modules holding the batch execution path: these exist to amortize
 #: per-row interpreter work, so per-row dispatch inside them defeats
 #: their purpose (rule L006).
-_BATCH_PATH_SUFFIXES = ("core/query/vectorized.py", "storage/columnar.py")
+_BATCH_PATH_SUFFIXES = ("core/query/vectorized.py", "core/query/fused.py",
+                        "storage/columnar.py")
 
 #: Calls that mark per-row dispatch inside the batch path.
 _PER_ROW_CALLS = frozenset({"matches", "row_as_dict"})
+
+#: Reductions whose summation order differs from a left fold
+#: (``np.sum``/``np.mean`` and the ``.sum()``/``.mean()`` methods).
+_REORDERING_CALLS = frozenset({"sum", "mean", "nansum", "nanmean"})
+
+
+def _is_reordering_reduction(func: ast.expr) -> bool:
+    """``x.sum(...)``, ``np.mean(...)``, ``np.add.reduce(...)``."""
+    if not isinstance(func, ast.Attribute):
+        return False
+    if func.attr in _REORDERING_CALLS:
+        return True
+    return (func.attr == "reduce" and isinstance(func.value, ast.Attribute)
+            and func.value.attr == "add")
 
 
 def _is_batch_path(path: str) -> bool:
@@ -231,6 +251,13 @@ class _Visitor(ast.NodeVisitor):
                 f"per-row .{node.func.attr}() in the batch path; "
                 "compile predicates once (core/query/predicates.py) "
                 "and gather column buffers instead",
+            ))
+        if self.batch_path and _is_reordering_reduction(node.func):
+            self.findings.append((
+                "L006", node.lineno,
+                f"order-changing reduction .{node.func.attr}() in the "
+                "batch path; fold sums with a seeded np.cumsum (the row "
+                "engine's left fold) and count with np.count_nonzero",
             ))
         if not self.file_mutation_allowed:
             self._check_file_mutation(node)

@@ -53,7 +53,8 @@ RULES: dict[str, Rule] = {rule.code: rule for rule in (
     Rule("L005", Severity.ERROR,
          "source fault silently swallowed (except ...: pass)", "lint"),
     Rule("L006", Severity.ERROR,
-         "per-row dispatch inside the vectorized batch path", "lint"),
+         "per-row dispatch or order-changing reduction inside the "
+         "vectorized batch path", "lint"),
     Rule("L007", Severity.ERROR,
          "direct file mutation outside storage/durable and obs", "lint"),
     Rule("L008", Severity.ERROR,

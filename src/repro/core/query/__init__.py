@@ -19,8 +19,9 @@ from repro.core.query.executor import EngineConfig, QueryEngine, QueryResult
 from repro.core.query.parser import parse_query
 from repro.core.query.planner import Planner, PlannerConfig, PlanReport
 from repro.core.query.predicates import (
-    compile_columns,
+    ColumnMask,
     compile_comparison,
+    compile_masks,
     compile_residual,
 )
 from repro.core.query.rules import NormalizedQuery, normalize
@@ -33,6 +34,7 @@ __all__ = [
     "Batch",
     "CacheHit",
     "CardinalityEstimator",
+    "ColumnMask",
     "Comparison",
     "EngineChoice",
     "EngineConfig",
@@ -51,8 +53,8 @@ __all__ = [
     "SubtreeFilter",
     "VectorizedLowering",
     "choose_engine",
-    "compile_columns",
     "compile_comparison",
+    "compile_masks",
     "compile_residual",
     "normalize",
     "parse_query",

@@ -1,14 +1,15 @@
 """Fused compiled pipelines for the dominant scan shapes.
 
 The vectorized engine's scan->filter->project and
-scan->filter->aggregate plans each spend a pipeline stage materializing
-an intermediate :class:`~repro.core.query.vectorized.Batch` that the
-next operator immediately consumes. The vectorized lowering *fuses*
-these two shapes: the compiled predicate closures from
-:mod:`repro.core.query.predicates` run straight over the
-:class:`~repro.storage.columnar.ColumnStore` buffers, and the selected
-positions feed projection gathers or aggregation folds directly — one
-operator, one pass, no intermediate batch.
+scan->filter->aggregate plans each spend a pipeline stage building an
+intermediate :class:`~repro.core.query.vectorized.Batch` of every
+scanned column that the next operator immediately narrows. The
+vectorized lowering *fuses* these two shapes: the compiled
+:class:`~repro.core.query.predicates.ColumnMask` predicates run
+straight over the :class:`~repro.storage.columnar.ColumnStore`
+buffers, and the selected positions feed projection gathers or the
+order-preserving aggregate folds directly — one operator, one pass,
+and only the columns the output needs are gathered.
 
 Counter parity with the unfused pipelines is exact: the scan half
 counts ``rows_scanned`` per chunk and ``rows_emitted`` per selected
@@ -18,7 +19,9 @@ matching ``SeqScanOp`` + ``HashAggregateOp`` on the row engine.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Iterator
+
+import numpy as np
 
 from repro.core.query.ast import REMOTE_DETAIL_COLUMNS
 from repro.core.query.logical import (
@@ -27,13 +30,13 @@ from repro.core.query.logical import (
     LogicalProject,
     LogicalScan,
 )
-from repro.core.query.physical import ExecCounters, _AggState
-from repro.core.query.predicates import compile_columns
+from repro.core.query.physical import ExecCounters
+from repro.core.query.predicates import compile_masks
 from repro.core.query.vectorized import (
     Batch,
     VectorOp,
-    _filter_positions,
-    batch_from_rows,
+    _Aggregation,
+    select,
 )
 
 
@@ -45,13 +48,13 @@ class _FusedScanBase(VectorOp):
         super().__init__(counters)
         self.store = store
         self.residual = residual
-        self.compiled = compile_columns(residual)
+        self.masks = compile_masks(residual)
         self.batch_size = batch_size
         #: EXPLAIN ANALYZE stats node for the fused-away scan: fusion
         #: removes the scan operator, not its accounting.
         self.scan_stats = scan_stats
 
-    def _positions(self):
+    def _positions(self) -> np.ndarray:
         durable = self.store.table.durable
         if durable is not None and self.residual:
             positions = durable.scan_positions(
@@ -61,22 +64,28 @@ class _FusedScanBase(VectorOp):
                 return positions
         return self.store.live_positions()
 
-    def _selected_chunks(self) -> Iterator[list[int]]:
+    def _selected_chunks(self) -> Iterator[np.ndarray]:
         """Yield the surviving positions of each batch, in scan order."""
         positions = self._positions()
         size = self.batch_size
         store = self.store
-        compiled = self.compiled
+        masks = self.masks
         scan_stats = self.scan_stats
         if scan_stats is not None:
             scan_stats.loops += 1
         for start in range(0, len(positions), size):
             chunk = positions[start:start + size]
             self.counters.rows_scanned += len(chunk)
-            selected = list(_filter_positions(chunk, store, compiled))
+            selected = select(store, masks, chunk)
             if scan_stats is not None:
                 scan_stats.rows_out += len(selected)
             yield selected
+
+    def _gather(self, names, selected: np.ndarray) -> Batch:
+        store = self.store
+        return Batch(names, {name: store.vector(name, selected)
+                             for name in dict.fromkeys(names)},
+                     len(selected))
 
 
 class FusedScanProjectOp(_FusedScanBase):
@@ -89,16 +98,11 @@ class FusedScanProjectOp(_FusedScanBase):
         self.columns = columns
 
     def batches(self) -> Iterator[Batch]:
-        out_columns = self.columns
-        unique = tuple(dict.fromkeys(out_columns))
-        store = self.store
         for selected in self._selected_chunks():
-            if not selected:
+            if not len(selected):
                 continue
             self.counters.rows_emitted += len(selected)
-            columns = {name: store.gather(name, selected)
-                       for name in unique}
-            yield self._emit(Batch(out_columns, columns, len(selected)))
+            yield self._emit(self._gather(self.columns, selected))
 
 
 class FusedScanAggregateOp(_FusedScanBase):
@@ -118,72 +122,19 @@ class FusedScanAggregateOp(_FusedScanBase):
         self.group_by = group_by
 
     def batches(self) -> Iterator[Batch]:
-        aggregates = self.aggregates
-        group_by = self.group_by
-        store = self.store
-        groups: dict[Any, dict[str, _AggState]] = {}
-        saw_rows = False
+        aggregation = _Aggregation(self.aggregates, self.group_by)
+        names = tuple(dict.fromkeys(
+            ([self.group_by] if self.group_by is not None else [])
+            + [agg.column for agg in self.aggregates if agg.column != "*"]
+        ))
         for selected in self._selected_chunks():
-            if not selected:
+            if not len(selected):
                 continue
             self.counters.rows_emitted += len(selected)
-            saw_rows = True
-            # One gather per distinct column per chunk, shared by every
-            # aggregate that folds it (mean(x) + max(x) read one buffer).
-            gathered: dict[str, list] = {}
-            for agg in aggregates:
-                if agg.column != "*" and agg.column not in gathered:
-                    gathered[agg.column] = store.gather(agg.column,
-                                                        selected)
-            if group_by is None:
-                states = groups.setdefault(None, {
-                    agg.output_name: _AggState() for agg in aggregates
-                })
-                for agg in aggregates:
-                    state = states[agg.output_name]
-                    if agg.column == "*":
-                        state.count += len(selected)
-                    else:
-                        state.fold_many(gathered[agg.column])
-            else:
-                keys = store.gather(group_by, selected)
-                folds = [
-                    (agg.output_name,
-                     None if agg.column == "*"
-                     else gathered[agg.column])
-                    for agg in aggregates
-                ]
-                for i, key in enumerate(keys):
-                    states = groups.get(key)
-                    if states is None:
-                        states = groups[key] = {
-                            agg.output_name: _AggState()
-                            for agg in aggregates
-                        }
-                    for name, values in folds:
-                        state = states[name]
-                        if values is None:
-                            state.count += 1
-                        else:
-                            state.fold(values[i])
-        if not saw_rows and group_by is None:
-            groups[None] = {
-                agg.output_name: _AggState() for agg in aggregates
-            }
-        out_rows = []
-        for key in sorted(groups, key=repr):
-            states = groups[key]
-            out: dict[str, Any] = {}
-            if group_by is not None:
-                out[group_by] = key
-            for agg in aggregates:
-                out[agg.output_name] = states[agg.output_name].result(
-                    agg.func
-                )
-            self.counters.rows_emitted += 1
-            out_rows.append(out)
-        if out_rows:
-            yield self._emit(batch_from_rows(out_rows))
+            aggregation.add(self._gather(names, selected))
+        out = aggregation.finish(self.counters)
+        if out is not None:
+            yield self._emit(out)
 
 
 def try_fuse(lowering, node: LogicalNode,

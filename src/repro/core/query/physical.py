@@ -296,33 +296,6 @@ class _AggState:
         if self.maximum is None or value > self.maximum:
             self.maximum = value
 
-    def fold_many(self, values: list[Any]) -> None:
-        """Fold a whole column slice in one call (vectorized path).
-
-        Accumulates in the same left-to-right order as repeated
-        :meth:`fold` calls so float sums round identically — the parity
-        suite asserts bit-identical aggregates across engines.
-        """
-        total = self.total
-        count = self.count
-        minimum = self.minimum
-        maximum = self.maximum
-        for value in values:
-            if value is None:
-                continue
-            count += 1
-            if isinstance(value, (int, float)) \
-                    and not isinstance(value, bool):
-                total += value
-            if minimum is None or value < minimum:
-                minimum = value
-            if maximum is None or value > maximum:
-                maximum = value
-        self.total = total
-        self.count = count
-        self.minimum = minimum
-        self.maximum = maximum
-
     def result(self, func: str) -> Any:
         if func == "count":
             return self.count

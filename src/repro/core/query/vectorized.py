@@ -1,21 +1,31 @@
-"""Vectorized (batch-at-a-time) execution over columnar projections.
+"""Vectorized (batch-at-a-time) execution over numpy column buffers.
 
 The row engine (:mod:`repro.core.query.physical`) interprets plans one
 dict row at a time: every row pays a ``dict`` materialization, a
-generator resumption per operator, and (before PR 5) per-row predicate
-dispatch. This module executes the *same* logical plans batch-at-a-time
-over the tables' :class:`~repro.storage.columnar.ColumnStore`
-projections, amortizing interpreter overhead across
-``EngineConfig.vector_batch_size`` rows:
+generator resumption per operator, and per-row predicate dispatch. This
+module executes the *same* logical plans batch-at-a-time over the
+tables' :class:`~repro.storage.columnar.ColumnStore` projections, where
+each column is a typed numpy array with a NULL mask, dictionary codes,
+or (the fallback) Python objects:
 
-* scans build **selection vectors** (lists of live buffer positions)
-  and narrow them with compiled predicate closures applied straight to
-  the column buffers — no row dicts exist until the plan's output;
-* filters, projections, joins, sorts, and limits operate on
-  :class:`Batch` objects (column name → value list);
-* aggregation folds whole column slices via ``_AggState.fold_many``,
-  accumulating in the same left-to-right order as the row engine so
-  float results are bit-identical;
+* scans build **selection vectors** (``intp`` arrays of live buffer
+  positions) and narrow them with compiled
+  :class:`~repro.core.query.predicates.ColumnMask` predicates — array
+  comparisons on typed columns, one lookup per distinct value on
+  dictionary-encoded ones; index range scans answer their bounds the
+  same way, and index probes map row ids to positions with one
+  ``np.searchsorted``;
+* filters, projections, joins, sorts and limits operate on
+  :class:`Batch` objects (column name →
+  :class:`~repro.storage.columnar.Vector`); the hash join probes with a
+  lookup table over the probe column's dictionary codes;
+* aggregation folds whole column slices with order-preserving
+  reductions (:func:`fold_vector`): sums are an ``np.cumsum`` seeded
+  with the running total — a sequential left fold, so float results
+  are bit-identical to the row engine's; ``np.sum``'s pairwise
+  summation is not, and lint rule L006 keeps it out of this module;
+* values become Python objects only at the row boundary, through
+  ``tolist()``, so every cell has the row engine's Python type;
 * operators without a batch form — ``RemoteFetchOp``, nested-loop
   joins, the clade fast path — **fall back** to their row
   implementations behind :class:`RowSourceAdapterOp`, so every plan the
@@ -30,8 +40,11 @@ up to one batch more than the row engine's row-granular stop.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
+from functools import lru_cache
 from typing import Any
+
+import numpy as np
 
 from repro.core.query.ast import REMOTE_DETAIL_COLUMNS, AggregateSpec, OrderBy
 from repro.core.query.logical import (
@@ -47,11 +60,15 @@ from repro.core.query.logical import (
     LogicalScan,
 )
 from repro.core.query.physical import ExecCounters, _AggState, _sort_key
-from repro.core.query.predicates import compile_columns
+from repro.core.query.predicates import (
+    ColumnMask,
+    column_mask,
+    compile_masks,
+)
 from repro.errors import PlanError, QueryError
 from repro.obs.explain import OperatorStats
 from repro.obs.timing import now_wall
-from repro.storage.columnar import ColumnStore
+from repro.storage.columnar import ColumnStore, Vector
 from repro.storage.index import SortedIndex
 
 #: Default rows per batch; EngineConfig.vector_batch_size overrides.
@@ -61,16 +78,17 @@ DEFAULT_BATCH_SIZE = 1024
 class Batch:
     """One batch of rows in columnar form.
 
-    ``columns`` maps column name to a value list; every list has
-    ``length`` entries and position ``i`` across all lists is one row.
-    ``order`` fixes the column order rows materialize with, mirroring
-    the key order of the row engine's dicts.
+    ``columns`` maps column name to a
+    :class:`~repro.storage.columnar.Vector`; every vector has
+    ``length`` entries and position ``i`` across all of them is one
+    row. ``order`` fixes the column order rows materialize with,
+    mirroring the key order of the row engine's dicts.
     """
 
     __slots__ = ("order", "columns", "length")
 
     def __init__(self, order: tuple[str, ...],
-                 columns: dict[str, list[Any]], length: int) -> None:
+                 columns: dict[str, Vector], length: int) -> None:
         self.order = order
         self.columns = columns
         self.length = length
@@ -78,34 +96,45 @@ class Batch:
     def __len__(self) -> int:
         return self.length
 
-    def values(self, name: str) -> list[Any]:
-        """One column's values; missing columns read as all-NULL
+    def values(self, name: str) -> Vector:
+        """One column's vector; missing columns read as all-NULL
         (the batch analogue of ``row.get``)."""
         if name in self.columns:
             return self.columns[name]
-        return [None] * self.length
+        return Vector.nulls(self.length)
 
-    def take(self, positions: Sequence[int]) -> "Batch":
-        """A new batch keeping *positions*, in the given order."""
-        taken = {
-            name: [buffer[p] for p in positions]
-            for name, buffer in self.columns.items()
-        }
-        return Batch(self.order, taken, len(positions))
+    def take(self, index: np.ndarray) -> "Batch":
+        """A new batch keeping the rows at *index*, in the given order."""
+        taken = {name: vector.take(index)
+                 for name, vector in self.columns.items()}
+        return Batch(self.order, taken, len(index))
 
     def iter_rows(self) -> Iterator[dict[str, Any]]:
         """Materialize dict rows (the batch/row boundary)."""
         order = self.order
         if not order:
-            for _ in range(self.length):
-                yield {}
-            return
-        buffers = [self.columns[name] for name in order]
-        for values in zip(*buffers):
-            yield dict(zip(order, values))
+            return iter([{} for _ in range(self.length)])
+        columns = [self.columns[name].tolist() for name in order]
+        return map(_row_builder(order), *columns)
 
     def __repr__(self) -> str:
         return f"Batch(rows={self.length}, columns={list(self.order)})"
+
+
+@lru_cache(maxsize=256)
+def _row_builder(order: tuple[str, ...]):
+    """A function ``(v0, v1, ...) -> {order[0]: v0, ...}``.
+
+    Built as a dict display, which CPython sizes once and fills without
+    the pair tuples ``dict(zip(order, values))`` allocates: 2-3x faster
+    per row, and output rows are most of a wide projection's cost. Only
+    generated names appear in the source; column names are bound
+    through the namespace.
+    """
+    params = ", ".join(f"v{i}" for i in range(len(order)))
+    items = ", ".join(f"k{i}: v{i}" for i in range(len(order)))
+    names = {f"k{i}": name for i, name in enumerate(order)}
+    return eval(f"lambda {params}: {{{items}}}", names)
 
 
 def batch_from_rows(rows: list[dict[str, Any]]) -> Batch:
@@ -113,8 +142,181 @@ def batch_from_rows(rows: list[dict[str, Any]]) -> Batch:
     if not rows:
         return Batch((), {}, 0)
     order = tuple(rows[0].keys())
-    columns = {name: [row.get(name) for row in rows] for name in order}
+    columns = {name: Vector.of_objects([row.get(name) for row in rows])
+               for name in order}
     return Batch(order, columns, len(rows))
+
+
+def concat_batches(batches: list[Batch]) -> Batch:
+    """The non-empty *batches* back to back, in the first one's order."""
+    batches = [batch for batch in batches if len(batch)]
+    if not batches:
+        return Batch((), {}, 0)
+    order = batches[0].order
+    columns = {name: Vector.concat([batch.values(name)
+                                    for batch in batches])
+               for name in order}
+    return Batch(order, columns, sum(len(batch) for batch in batches))
+
+
+def select(store: ColumnStore, masks: tuple[ColumnMask, ...],
+           positions: np.ndarray) -> np.ndarray:
+    """Narrow a selection vector, one compiled mask at a time.
+
+    Each mask sees only the survivors of the previous one, so a
+    conjunction short-circuits per row as the row engine's does.
+    """
+    for mask in masks:
+        if not len(positions):
+            break
+        positions = positions[mask(store.vector(mask.column, positions))]
+    return positions
+
+
+def fold_vector(state: _AggState, vector: Vector) -> None:
+    """Fold one column slice into *state*, as repeated
+    :meth:`~repro.core.query.physical._AggState.fold` calls would.
+
+    NULLs are skipped. Sums are an ``np.cumsum`` seeded with the
+    running total: the same sequential left fold, so a lone ``-0.0``
+    sums to ``0.0`` and every float total is bit-identical. Booleans
+    and strings count but add nothing to the total. ``min``/``max``
+    keep the first of equal values and the fold's NaN rule: a NaN
+    first value sticks (no ``<`` or ``>`` moves off it), a later NaN
+    never wins. Results are Python values (``int`` for int columns).
+    Object vectors fold value by value.
+    """
+    data = vector.data
+    dictionary = vector.dictionary
+    if dictionary is not None:
+        present = np.flatnonzero(np.bincount(data, minlength=1)[1:]) + 1
+        if not len(present):
+            return
+        state.count += len(data) - np.count_nonzero(data == 0)
+        values = dictionary.decode[present].tolist()
+        _fold_extremes(state, min(values), max(values))
+        return
+    if data.dtype == object:
+        for value in data.tolist():
+            state.fold(value)
+        return
+    if vector.valid is not None:
+        data = data[vector.valid]
+    if not len(data):
+        return
+    state.count += len(data)
+    if data.dtype != np.bool_:
+        state.total = np.cumsum(
+            np.concatenate(([state.total], data)))[-1].item()
+    if state.minimum is None and data[0] != data[0]:
+        state.minimum = state.maximum = data[0].item()
+        return
+    if data.dtype == np.float64:
+        nan = np.isnan(data)
+        if nan.any():
+            data = data[~nan]
+            if not len(data):
+                return
+    _fold_extremes(state, data[data.argmin()].item(),
+                   data[data.argmax()].item())
+
+
+def _fold_extremes(state: _AggState, low: Any, high: Any) -> None:
+    minimum = state.minimum
+    if minimum is not None and minimum != minimum:
+        return  # a NaN first value: the row fold never leaves it
+    if minimum is None or low < minimum:
+        state.minimum = low
+    if state.maximum is None or high > state.maximum:
+        state.maximum = high
+
+
+def _group_runs(keys: Vector) -> Iterator[tuple[Any, np.ndarray]]:
+    """``(key, row index)`` per distinct key of *keys*, each index in
+    scan order. Dictionary codes group directly; other columns group
+    by Python value, with the row engine's dict semantics."""
+    if keys.dictionary is not None:
+        ids = keys.data
+        labels = keys.dictionary.decode
+    else:
+        index: dict[Any, int] = {}
+        values = keys.tolist()
+        ids = np.fromiter(
+            (index.setdefault(value, len(index)) for value in values),
+            dtype=np.intp, count=len(values))
+        labels = list(index)
+    order = np.argsort(ids, kind="stable")
+    ordered = ids[order]
+    bounds = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    starts = [0, *bounds.tolist()]
+    ends = [*bounds.tolist(), len(ids)]
+    for start, end in zip(starts, ends):
+        yield labels[ordered[start]], order[start:end]
+
+
+class _Aggregation:
+    """Scalar or grouped aggregate states, fed one batch at a time."""
+
+    def __init__(self, aggregates: tuple[AggregateSpec, ...],
+                 group_by: str | None) -> None:
+        self.aggregates = aggregates
+        self.group_by = group_by
+        self.groups: dict[Any, dict[str, _AggState]] = {}
+        self.saw_rows = False
+
+    def _states(self, key: Any) -> dict[str, _AggState]:
+        states = self.groups.get(key)
+        if states is None:
+            states = self.groups[key] = {
+                agg.output_name: _AggState() for agg in self.aggregates
+            }
+        return states
+
+    def add(self, batch: Batch) -> None:
+        if not len(batch):
+            return
+        self.saw_rows = True
+        if self.group_by is None:
+            self._fold(self._states(None), batch, None)
+            return
+        for key, index in _group_runs(batch.values(self.group_by)):
+            self._fold(self._states(key), batch, index)
+
+    def _fold(self, states, batch: Batch, index: np.ndarray | None) -> None:
+        # One gather per distinct column, shared by every aggregate
+        # that folds it (mean(x) + max(x) read one slice).
+        taken: dict[str, Vector] = {}
+        for agg in self.aggregates:
+            state = states[agg.output_name]
+            if agg.column == "*":
+                state.count += len(batch) if index is None else len(index)
+                continue
+            vector = taken.get(agg.column)
+            if vector is None:
+                vector = batch.values(agg.column)
+                if index is not None:
+                    vector = vector.take(index)
+                taken[agg.column] = vector
+            fold_vector(state, vector)
+
+    def finish(self, counters: ExecCounters) -> Batch | None:
+        """The output batch (groups in ``repr`` order), or None."""
+        if not self.saw_rows and self.group_by is None:
+            # Scalar aggregate over an empty input still yields one row.
+            self._states(None)
+        out_rows = []
+        for key in sorted(self.groups, key=repr):
+            states = self.groups[key]
+            out: dict[str, Any] = {}
+            if self.group_by is not None:
+                out[self.group_by] = key
+            for agg in self.aggregates:
+                out[agg.output_name] = states[agg.output_name].result(
+                    agg.func
+                )
+            counters.rows_emitted += 1
+            out_rows.append(out)
+        return batch_from_rows(out_rows) if out_rows else None
 
 
 class VectorOp:
@@ -213,15 +415,6 @@ class RowSourceAdapterOp(VectorOp):
             yield self._emit(batch_from_rows(buffer))
 
 
-def _filter_positions(positions: Sequence[int], store: ColumnStore,
-                      compiled) -> Sequence[int]:
-    """Narrow a selection vector, one compiled predicate at a time."""
-    for name, test in compiled:
-        buffer = store.column(name)
-        positions = [p for p in positions if test(buffer[p])]
-    return positions
-
-
 class _VecScanBase(VectorOp):
     """Shared gather/filter machinery of the four scan shapes."""
 
@@ -231,7 +424,7 @@ class _VecScanBase(VectorOp):
         super().__init__(counters)
         self.store = store
         self.residual = residual
-        self.compiled = compile_columns(residual)
+        self.masks = compile_masks(residual)
         if columns is None:
             self.columns = store.column_names
         else:
@@ -239,25 +432,23 @@ class _VecScanBase(VectorOp):
                                  if c in columns)
         self.batch_size = batch_size
 
-    def _scan_chunk(self, chunk: Sequence[int]) -> Batch | None:
-        """Count, filter, and gather one chunk of buffer positions."""
-        self.counters.rows_scanned += len(chunk)
-        selected = _filter_positions(chunk, self.store, self.compiled)
-        if not selected:
-            return None
-        self.counters.rows_emitted += len(selected)
-        store = self.store
-        columns = {name: store.gather(name, list(selected))
-                   for name in self.columns}
-        return Batch(self.columns, columns, len(selected))
-
-    def _scan_positions(self, positions: Sequence[int],
+    def _scan_positions(self, positions: np.ndarray,
+                        masks: tuple[ColumnMask, ...] | None = None,
                         ) -> Iterator[Batch]:
+        """Count, filter, and gather *positions* one batch at a time."""
+        masks = self.masks if masks is None else masks
+        store = self.store
         size = self.batch_size
         for start in range(0, len(positions), size):
-            batch = self._scan_chunk(positions[start:start + size])
-            if batch is not None:
-                yield self._emit(batch)
+            chunk = positions[start:start + size]
+            self.counters.rows_scanned += len(chunk)
+            selected = select(store, masks, chunk)
+            if not len(selected):
+                continue
+            self.counters.rows_emitted += len(selected)
+            columns = {name: store.vector(name, selected)
+                       for name in self.columns}
+            yield self._emit(Batch(self.columns, columns, len(selected)))
 
 
 class VecSeqScanOp(_VecScanBase):
@@ -294,13 +485,23 @@ class VecIndexEqScanOp(_VecScanBase):
 
     def batches(self) -> Iterator[Batch]:
         self.counters.index_probes += 1
-        position_of = self.store.position_of
-        positions = [position_of(row_id)
-                     for row_id in self.index.lookup(self.value)]
+        positions = self.store.positions_of(self.index.lookup(self.value))
         yield from self._scan_positions(positions)
 
 
 class VecIndexRangeScanOp(_VecScanBase):
+    """Index range scan, answered from the column when that is exact.
+
+    ``SortedIndex.range`` returns row ids ascending, and while the
+    store's row ids ascend with position, the live positions whose
+    value lies inside the bounds are the same rows in the same order.
+    The bounds then run as column masks over a view of the whole
+    column — no per-row-id sort or lookup — and still count as the
+    plan's one index probe. A float column holding NaN keeps the index: NaN keys
+    break the index's ordering, so only the index itself says which
+    rows its bisection returns.
+    """
+
     def __init__(self, counters: ExecCounters, store: ColumnStore,
                  index: SortedIndex, low: Any, high: Any,
                  include_low: bool, include_high: bool, residual=(),
@@ -315,10 +516,24 @@ class VecIndexRangeScanOp(_VecScanBase):
 
     def batches(self) -> Iterator[Batch]:
         self.counters.index_probes += 1
-        row_ids = self.index.range(self.low, self.high,
-                                   self.include_low, self.include_high)
-        position_of = self.store.position_of
-        positions = [position_of(row_id) for row_id in row_ids]
+        store = self.store
+        column = self.index.column_names[0]
+        if store.ascending and not store.has_nan(column):
+            # A view of the whole column: no position array to gather.
+            # Bound masks never match NULL; NULL keys are in no range.
+            values = store.vector(column)
+            hit = values.present()
+            if self.low is not None:
+                op = ">=" if self.include_low else ">"
+                hit &= column_mask(column, op, self.low)(values)
+            if self.high is not None:
+                op = "<=" if self.include_high else "<"
+                hit &= column_mask(column, op, self.high)(values)
+            live = store.live_mask()
+            positions = np.flatnonzero(hit if live is None else hit & live)
+        else:
+            positions = store.positions_of(self.index.range(
+                self.low, self.high, self.include_low, self.include_high))
         yield from self._scan_positions(positions)
 
 
@@ -338,54 +553,37 @@ class VecKeySetScanOp(_VecScanBase):
         if index is not None:
             # Same key order (and per-key probe accounting) as the row
             # operator: deterministic across runs and engines.
-            position_of = self.store.position_of
-            positions: list[int] = []
+            row_ids: list[int] = []
             for key in sorted(self.keys, key=repr):
                 self.counters.index_probes += 1
-                positions.extend(position_of(row_id)
-                                 for row_id in index.lookup(key))
-            yield from self._scan_positions(positions)
+                row_ids.extend(index.lookup(key))
+            yield from self._scan_positions(
+                self.store.positions_of(row_ids))
             return
-        keys = self.keys
-        buffer = self.store.column(self.column)
-        size = self.batch_size
-        live = self.store.live_positions()
-        for start in range(0, len(live), size):
-            chunk = live[start:start + size]
-            self.counters.rows_scanned += len(chunk)
-            members = [p for p in chunk if buffer[p] in keys]
-            selected = _filter_positions(members, self.store,
-                                         self.compiled)
-            if not selected:
-                continue
-            self.counters.rows_emitted += len(selected)
-            store = self.store
-            columns = {name: store.gather(name, list(selected))
-                       for name in self.columns}
-            yield self._emit(Batch(self.columns, columns,
-                                   len(selected)))
+        member = ColumnMask(self.column, self.keys.__contains__)
+        yield from self._scan_positions(self.store.live_positions(),
+                                        (member, *self.masks))
 
 
 class VecFilterOp(VectorOp):
-    """Batch filter (the HAVING stage) over compiled predicates."""
+    """Batch filter (the HAVING stage) over compiled masks."""
 
     def __init__(self, counters: ExecCounters, child,
                  predicates) -> None:
         super().__init__(counters)
         self.child = child
         self.predicates = predicates
-        self.compiled = compile_columns(predicates)
+        self.masks = compile_masks(predicates)
 
     def batches(self) -> Iterator[Batch]:
         for batch in self.child.batches():
-            keep = range(len(batch))
-            for name, test in self.compiled:
-                values = batch.values(name)
-                keep = [i for i in keep if test(values[i])]
-            if not keep:
+            keep = np.arange(len(batch))
+            for mask in self.masks:
+                keep = keep[mask(batch.values(mask.column).take(keep))]
+            if not len(keep):
                 continue
             self.counters.rows_emitted += len(keep)
-            yield self._emit(batch.take(list(keep)))
+            yield self._emit(batch.take(keep))
 
 
 class VecProjectOp(VectorOp):
@@ -422,87 +620,52 @@ class VecHashAggregateOp(VectorOp):
         self.group_by = group_by
 
     def batches(self) -> Iterator[Batch]:
-        groups: dict[Any, dict[str, _AggState]] = {}
-        saw_rows = False
+        aggregation = _Aggregation(self.aggregates, self.group_by)
         for batch in self.child.batches():
-            if not len(batch):
-                continue
-            saw_rows = True
-            if self.group_by is None:
-                self._fold_scalar(groups, batch)
-            else:
-                self._fold_grouped(groups, batch)
-        if not saw_rows and self.group_by is None:
-            # Scalar aggregate over an empty input still yields one row.
-            groups[None] = {
-                agg.output_name: _AggState() for agg in self.aggregates
-            }
-        out_rows = []
-        for key in sorted(groups, key=repr):
-            states = groups[key]
-            out: dict[str, Any] = {}
-            if self.group_by is not None:
-                out[self.group_by] = key
-            for agg in self.aggregates:
-                out[agg.output_name] = states[agg.output_name].result(
-                    agg.func
-                )
-            self.counters.rows_emitted += 1
-            out_rows.append(out)
-        if out_rows:
-            yield self._emit(batch_from_rows(out_rows))
-
-    def _fold_scalar(self, groups, batch: Batch) -> None:
-        states = groups.setdefault(None, {
-            agg.output_name: _AggState() for agg in self.aggregates
-        })
-        for agg in self.aggregates:
-            state = states[agg.output_name]
-            if agg.column == "*":
-                state.count += len(batch)
-            else:
-                state.fold_many(batch.values(agg.column))
-
-    def _fold_grouped(self, groups, batch: Batch) -> None:
-        keys = batch.values(self.group_by)
-        folds = [
-            (agg.output_name,
-             None if agg.column == "*" else batch.values(agg.column))
-            for agg in self.aggregates
-        ]
-        fresh = {agg.output_name: None for agg in self.aggregates}
-        for i, key in enumerate(keys):
-            states = groups.get(key)
-            if states is None:
-                states = groups[key] = {
-                    name: _AggState() for name in fresh
-                }
-            for name, values in folds:
-                state = states[name]
-                if values is None:
-                    state.count += 1
-                else:
-                    state.fold(values[i])
+            aggregation.add(batch)
+        out = aggregation.finish(self.counters)
+        if out is not None:
+            yield self._emit(out)
 
 
-class _Materializing(VectorOp):
-    """Shared concat step of the blocking operators (sort, top-k)."""
+def _sorted_index(batch: Batch, order_by: OrderBy) -> np.ndarray:
+    """Row order of a stable sort on the ORDER BY key (NULLs first
+    ascending, last descending), exactly as the row engine sorts.
 
-    def _materialize(self, child) -> Batch:
-        batches = [batch for batch in child.batches() if len(batch)]
-        if not batches:
-            return Batch((), {}, 0)
-        order = batches[0].order
-        columns = {name: [] for name in order}
-        total = 0
-        for batch in batches:
-            total += len(batch)
-            for name in order:
-                columns[name].extend(batch.values(name))
-        return Batch(order, columns, total)
+    Typed keys sort as arrays: a stable ``np.lexsort`` on (non-NULL,
+    value), with ties kept in arrival order descending too (sorting
+    the reversed rows and reversing back), as ``sorted(reverse=True)``
+    keeps them. Dictionary codes sort by the rank of their value.
+    NaN keys (whose Python order depends on the sort algorithm) and
+    object keys take Python's ``sorted`` on the decoded values.
+    """
+    keys = batch.values(order_by.column)
+    descending = order_by.descending
+    data = keys.data
+    if keys.dictionary is not None:
+        values = keys.dictionary.values()
+        ranks = np.empty(len(values), dtype=np.intp)
+        ranks[sorted(range(1, len(values)), key=values.__getitem__)] = \
+            np.arange(1, len(values))
+        ranks[0] = 0  # NULL below every value
+        data, present = ranks[data], None
+    elif data.dtype == object or (data.dtype == np.float64
+                                  and np.isnan(data).any()):
+        decoded = keys.tolist()
+        order = sorted(range(len(decoded)),
+                       key=lambda i: _sort_key(decoded[i]),
+                       reverse=descending)
+        return np.array(order, dtype=np.intp)
+    else:
+        present = keys.valid
+    columns = (data,) if present is None else (data, present)
+    if not descending:
+        return np.lexsort(columns)
+    last = len(data) - 1
+    return last - np.lexsort([c[::-1] for c in columns])[::-1]
 
 
-class VecSortOp(_Materializing):
+class VecSortOp(VectorOp):
     def __init__(self, counters: ExecCounters, child,
                  order_by: OrderBy,
                  batch_size: int = DEFAULT_BATCH_SIZE) -> None:
@@ -512,21 +675,18 @@ class VecSortOp(_Materializing):
         self.batch_size = batch_size
 
     def batches(self) -> Iterator[Batch]:
-        merged = self._materialize(self.child)
+        merged = concat_batches(list(self.child.batches()))
         if not len(merged):
             return
-        keys = merged.values(self.order_by.column)
-        # sorted() is stable, exactly like the row engine's list.sort:
-        # ties keep arrival order under either mode.
-        indices = sorted(range(len(merged)),
-                         key=lambda i: _sort_key(keys[i]),
-                         reverse=self.order_by.descending)
+        # A stable sort, exactly like the row engine's list.sort: ties
+        # keep arrival order under either mode.
+        index = _sorted_index(merged, self.order_by)
         size = self.batch_size
-        for start in range(0, len(indices), size):
-            yield self._emit(merged.take(indices[start:start + size]))
+        for start in range(0, len(index), size):
+            yield self._emit(merged.take(index[start:start + size]))
 
 
-class VecTopKOp(_Materializing):
+class VecTopKOp(VectorOp):
     """Bounded sort; result order matches ``heapq.nlargest/nsmallest``
     (documented equivalent of a stable full sort sliced to k)."""
 
@@ -538,15 +698,12 @@ class VecTopKOp(_Materializing):
         self.limit = limit
 
     def batches(self) -> Iterator[Batch]:
-        merged = self._materialize(self.child)
+        merged = concat_batches(list(self.child.batches()))
         if not len(merged):
             return
-        keys = merged.values(self.order_by.column)
-        indices = sorted(range(len(merged)),
-                         key=lambda i: _sort_key(keys[i]),
-                         reverse=self.order_by.descending)[:self.limit]
-        self.counters.rows_emitted += len(indices)
-        yield self._emit(merged.take(indices))
+        index = _sorted_index(merged, self.order_by)[:self.limit]
+        self.counters.rows_emitted += len(index)
+        yield self._emit(merged.take(index))
 
 
 class VecLimitOp(VectorOp):
@@ -560,7 +717,7 @@ class VecLimitOp(VectorOp):
         remaining = self.limit
         for batch in self.child.batches():
             if len(batch) > remaining:
-                batch = batch.take(list(range(remaining)))
+                batch = batch.take(np.arange(remaining))
             remaining -= len(batch)
             self.counters.rows_emitted += len(batch)
             yield self._emit(batch)
@@ -569,11 +726,16 @@ class VecLimitOp(VectorOp):
 
 
 class VecHashJoinOp(VectorOp):
-    """Batch equi-join; buckets of build positions, probed per batch.
+    """Batch equi-join: build rows bucketed by key id, probed per batch.
 
-    Merged rows replicate the row engine's ``{**build, **probe}``:
-    build columns first, probe-only columns appended, and a column
-    present on both sides takes the probe value.
+    Keys get dense ids from one Python dict over the build side's
+    distinct values (the row engine's dict semantics, NULL included).
+    A dictionary-encoded probe column is mapped code → key id once per
+    dictionary, so probing a batch is one lookup-table gather; bucket
+    expansion is ``np.repeat`` arithmetic. Merged rows replicate the
+    row engine's ``{**build, **probe}``: build columns first,
+    probe-only columns appended, a column present on both sides takes
+    the probe value, and each probe row's matches follow build order.
     """
 
     def __init__(self, counters: ExecCounters, build, probe,
@@ -584,49 +746,70 @@ class VecHashJoinOp(VectorOp):
         self.key = key
 
     def batches(self) -> Iterator[Batch]:
-        build = self._materialize_build()
-        buckets: dict[Any, list[int]] = {}
-        build_keys = build.values(self.key)
-        for position, key in enumerate(build_keys):
-            buckets.setdefault(key, []).append(position)
+        build = concat_batches(list(self.build.batches()))
+        key_ids: dict[Any, int] = {}
+        build_ids = _per_value(
+            build.values(self.key),
+            lambda value: key_ids.setdefault(value, len(key_ids)))
+        # Build positions grouped by key id, build order within a key.
+        by_key = np.argsort(build_ids, kind="stable")
+        counts = np.bincount(build_ids, minlength=len(key_ids))
+        firsts = np.cumsum(counts) - counts
+        luts: dict[int, np.ndarray] = {}
         for batch in self.probe.batches():
-            probe_keys = batch.values(self.key)
-            build_positions: list[int] = []
-            probe_positions: list[int] = []
-            for i, key in enumerate(probe_keys):
-                for position in buckets.get(key, ()):
-                    build_positions.append(position)
-                    probe_positions.append(i)
-            if not build_positions:
+            probe_ids = _probe_ids(batch.values(self.key), key_ids, luts)
+            matches = np.zeros(len(batch), dtype=np.intp)
+            hit = probe_ids >= 0
+            matches[hit] = counts[probe_ids[hit]]
+            ends = np.cumsum(matches)
+            total = int(ends[-1]) if len(ends) else 0
+            if not total:
                 continue
-            self.counters.rows_emitted += len(build_positions)
+            probe_positions = np.repeat(np.arange(len(batch)), matches)
+            offsets = np.arange(total) - np.repeat(ends - matches, matches)
+            build_positions = by_key[
+                np.repeat(firsts[np.maximum(probe_ids, 0)], matches)
+                + offsets]
+            self.counters.rows_emitted += total
             order = build.order + tuple(
                 c for c in batch.order if c not in build.columns
             )
-            columns: dict[str, list[Any]] = {}
+            columns: dict[str, Vector] = {}
             for name in order:
                 if name in batch.columns:  # probe wins shared columns
-                    source = batch.columns[name]
-                    columns[name] = [source[p] for p in probe_positions]
+                    columns[name] = batch.columns[name].take(
+                        probe_positions)
                 else:
-                    source = build.columns[name]
-                    columns[name] = [source[p] for p in build_positions]
-            yield self._emit(Batch(order, columns,
-                                   len(build_positions)))
+                    columns[name] = build.columns[name].take(
+                        build_positions)
+            yield self._emit(Batch(order, columns, total))
 
-    def _materialize_build(self) -> Batch:
-        batches = [batch for batch in self.build.batches()
-                   if len(batch)]
-        if not batches:
-            return Batch((), {}, 0)
-        order = batches[0].order
-        columns = {name: [] for name in order}
-        total = 0
-        for batch in batches:
-            total += len(batch)
-            for name in order:
-                columns[name].extend(batch.values(name))
-        return Batch(order, columns, total)
+
+def _per_value(keys: Vector, assign) -> np.ndarray:
+    """``assign(value)`` for every row of *keys*: called once per
+    distinct value when *keys* is dictionary-encoded."""
+    if keys.dictionary is not None:
+        table = np.fromiter(map(assign, keys.dictionary.values()),
+                            dtype=np.intp, count=keys.dictionary.size)
+        return table[keys.data]
+    values = keys.tolist()
+    return np.fromiter(map(assign, values), dtype=np.intp,
+                       count=len(values))
+
+
+def _probe_ids(keys: Vector, key_ids: dict[Any, int],
+               luts: dict[Any, np.ndarray]) -> np.ndarray:
+    """Build key id per probe row (``-1``: no build row has the key);
+    the code → id table of a dictionary is built once per join."""
+    dictionary = keys.dictionary
+    if dictionary is None:
+        return _per_value(keys, lambda value: key_ids.get(value, -1))
+    table = luts.get(dictionary)
+    if table is None or len(table) < dictionary.size:
+        table = luts[dictionary] = np.fromiter(
+            (key_ids.get(value, -1) for value in dictionary.values()),
+            dtype=np.intp, count=dictionary.size)
+    return table[keys.data]
 
 
 def _rows_estimate(node: LogicalNode) -> float:

@@ -2,6 +2,8 @@
 
 import textwrap
 
+import pytest
+
 from repro.analysis import LINT_RULES, lint_file, lint_paths, lint_source
 
 
@@ -335,9 +337,38 @@ class TestL006BatchPathDispatch:
                 return [r for r in rows if passes(r)]
         """, path=self.BATCH_PATH) == []
 
+    @pytest.mark.parametrize("call", [
+        "np.sum(values)", "numpy.mean(values)", "np.add.reduce(values)",
+        "values.sum()", "values[mask].mean()", "np.nansum(values)",
+    ])
+    def test_order_changing_reductions_flagged(self, call):
+        found = run(f"""\
+            import numpy as np
+            def total(values, mask):
+                return {call}
+        """, path="src/repro/core/query/fused.py")
+        assert codes(found) == ["L006"]
+        assert "order-changing" in found[0].message
+
+    def test_order_preserving_folds_pass(self):
+        assert run("""\
+            import numpy as np
+            def fold(total, values):
+                count = np.count_nonzero(values == values)
+                return np.cumsum(np.concatenate(([total], values)))[-1]
+        """, path=self.BATCH_PATH) == []
+
+    def test_reductions_allowed_outside_batch_path(self):
+        assert run("""\
+            import numpy as np
+            def total(values):
+                return np.sum(values) + values.mean()
+        """, path="src/repro/bio/distance.py") == []
+
     def test_shipped_batch_modules_have_no_noqa(self):
         # The guard may never be waived in the modules it protects.
         for module in ("src/repro/core/query/vectorized.py",
+                       "src/repro/core/query/fused.py",
                        "src/repro/storage/columnar.py"):
             with open(module, encoding="utf-8") as handle:
                 assert "noqa" not in handle.read(), module

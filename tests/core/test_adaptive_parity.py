@@ -4,8 +4,9 @@
 different physical engine per query and to size its batches per plan
 — but none of that may ever change an answer. Every workload family
 runs under row, vectorized, and adaptive modes (semantic cache off),
-and all three must agree bit-for-bit on rows and on the accounting
-counters ``rows_scanned`` / ``rows_emitted`` / ``index_probes``.
+and all three must agree bit-for-bit on rows (values, column order and
+each cell's Python type) and on the accounting counters
+``rows_scanned`` / ``rows_emitted`` / ``index_probes``.
 
 The suite also pins the adaptive-only machinery: the cost crossover
 (index probes stay row, wide scans go vectorized), the mutation
@@ -74,6 +75,14 @@ def make_trio(dataset, federated=False):
     )
 
 
+def cell_types(rows):
+    """Column names and cell types, row by row (``rows ==`` alone
+    accepts ``np.float64``/``np.int64``/``np.bool_`` for Python
+    values)."""
+    return [[(name, type(value)) for name, value in row.items()]
+            for row in rows]
+
+
 def assert_three_way_parity(engines, query, counters=True):
     row, vec, ada = engines
     got_row = row.execute(query)
@@ -81,6 +90,8 @@ def assert_three_way_parity(engines, query, counters=True):
     got_ada = ada.execute(query)
     assert got_vec.rows == got_row.rows, query
     assert got_ada.rows == got_row.rows, query
+    assert cell_types(got_vec.rows) == cell_types(got_row.rows), query
+    assert cell_types(got_ada.rows) == cell_types(got_row.rows), query
     if counters:
         for key in COUNTER_KEYS:
             baseline = got_row.counters.get(key, 0)
@@ -122,7 +133,9 @@ class TestWorkloadFamilies:
         # Tiny explicit batches split the fused fold into many chunks.
         for engine in (make_engine(drugtree, "adaptive"),
                        make_engine(drugtree, "vectorized", batch_size=16)):
-            assert engine.execute(dtql).rows == expected
+            got = engine.execute(dtql).rows
+            assert got == expected
+            assert cell_types(got) == cell_types(expected)
 
 
 class TestDtqlParity:
@@ -176,6 +189,7 @@ class TestFederatedParity:
         got_row = row.execute(self.REMOTE_QUERY)
         got_ada = ada.execute(self.REMOTE_QUERY)
         assert got_ada.rows == got_row.rows
+        assert cell_types(got_ada.rows) == cell_types(got_row.rows)
         assert got_ada.resilience == got_row.resilience
         assert got_ada.degraded == got_row.degraded
         assert got_ada.degraded is True

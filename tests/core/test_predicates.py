@@ -12,11 +12,14 @@ import pytest
 
 from repro.core.query.ast import Comparison, HavingCondition
 from repro.core.query.predicates import (
-    compile_columns,
+    column_mask,
     compile_comparison,
+    compile_masks,
     compile_residual,
 )
 from repro.errors import QueryError
+from repro.storage import Schema, Table, bool_column, float_column
+from repro.storage import int_column, string_column
 
 SAMPLE_VALUES = (None, 0, 1, 2.5, -3, True, False)
 
@@ -108,14 +111,73 @@ class TestCompileResidual:
             assert passes(row) == expected, row
 
 
-class TestCompileColumns:
-    def test_pairs_preserve_order_and_columns(self):
+def typed_store(values_by_column):
+    """A one-table column store holding *values_by_column*."""
+    makers = {"f": float_column, "i": int_column, "b": bool_column,
+              "s": string_column}
+    schema = Schema([makers[name](name, nullable=True)
+                     for name in values_by_column])
+    table = Table("t", schema)
+    rows = zip(*values_by_column.values())
+    for row in rows:
+        table.insert(dict(zip(values_by_column, row)))
+    return table.column_store()
+
+
+class TestCompileMasks:
+    def test_masks_preserve_order_and_columns(self):
         residual = (
             Comparison("p_affinity", ">", 1),
             Comparison("organism", "=", "Homo sapiens"),
         )
-        pairs = compile_columns(residual)
-        assert [column for column, _ in pairs] == \
+        masks = compile_masks(residual)
+        assert [mask.column for mask in masks] == \
             ["p_affinity", "organism"]
-        assert pairs[0][1](2) and not pairs[0][1](0)
-        assert pairs[1][1]("Homo sapiens") and not pairs[1][1]("Rat")
+        assert masks[0].test(2) and not masks[0].test(0)
+        assert masks[1].test("Homo sapiens") and not masks[1].test("Rat")
+
+    COLUMNS = {
+        "f": [1.5, None, -0.0, 0.0, float("nan"), 2.0 ** 53, 7.0,
+              float("inf"), -2.5],
+        "i": [1, None, 0, -3, 2 ** 53 + 1, 7, 2 ** 62, -(2 ** 62), 2],
+        "b": [True, None, False, True, False, True, None, False, True],
+        "s": ["b", None, "a", "", "zz", "b", "a", None, "c"],
+    }
+    LITERALS = (0, 1, 2, -3, 7, 2.5, -0.0, 7.0, True, False, 2 ** 53 + 1,
+                2 ** 70, -(2 ** 70), float("inf"), float("nan"), "a",
+                "b", "", None)
+    MEMBERS = ((1, 2.0, "b"), (True,), (2 ** 53 + 1, 0.5), ("a", None),
+               (float("nan"), 7), (), (2 ** 70, -3))
+
+    @pytest.mark.parametrize("column", ["f", "i", "b", "s"])
+    def test_mask_agrees_with_closure_on_every_literal(self, column):
+        store = typed_store(self.COLUMNS)
+        positions = store.live_positions()
+        vector = store.vector(column, positions)
+        values = vector.tolist()
+        cases = [(op, literal) for op in ("=", "!=")
+                 for literal in self.LITERALS]
+        cases += [(op, literal) for op in ("<", "<=", ">", ">=")
+                  for literal in self.LITERALS
+                  if literal is not None
+                  and isinstance(literal, str) == (column == "s")]
+        cases += [("in", members) for members in self.MEMBERS]
+        for op, literal in cases:
+            mask = column_mask(column, op, literal)
+            expected = [mask.test(value) for value in values]
+            assert mask(vector).tolist() == expected, (column, op, literal)
+
+    def test_dictionary_mask_follows_new_values(self):
+        store = typed_store({"s": ["x", "y"]})
+        mask = column_mask("s", "in", ("y", "z"))
+        assert mask(store.vector("s", store.live_positions())).tolist() \
+            == [False, True]
+        store.table.insert({"s": "z"})
+        assert mask(store.vector("s", store.live_positions())).tolist() \
+            == [False, True, True]
+
+    def test_unhashable_in_literal_uses_the_closure(self):
+        store = typed_store({"i": [1, 2, 3]})
+        mask = column_mask("i", "in", ([1], 2))
+        assert mask(store.vector("i", store.live_positions())).tolist() \
+            == [False, True, False]

@@ -3,8 +3,10 @@
 Every query family the workload generator can draw is executed under
 both ``execution_mode="row"`` and ``execution_mode="vectorized"``
 (semantic cache off so the engines cannot share answers) and the two
-engines must agree bit-for-bit on rows *and* on the accounting
-counters ``rows_scanned`` / ``rows_emitted`` / ``index_probes``.
+engines must agree bit-for-bit on rows — values, column order and the
+Python type of every cell, so no numpy scalar leaks out of the batch
+path — *and* on the accounting counters ``rows_scanned`` /
+``rows_emitted`` / ``index_probes``.
 
 One documented exception: a bare ``LIMIT`` (no ORDER BY) lets the row
 engine stop its scan at row granularity while the vectorized engine
@@ -17,6 +19,7 @@ import pytest
 
 from repro.core import EngineConfig, QueryEngine
 from repro.errors import QueryError
+from repro.mobile.protocol import encode_payload
 from repro.obs import MetricsRegistry, set_metrics
 from repro.sources import (
     BreakerConfig,
@@ -64,10 +67,19 @@ def make_engines(dataset, federated=False, batch_size=1024):
     return row, vec
 
 
+def cell_types(rows):
+    """Column names and cell types, row by row (``rows ==`` alone
+    accepts ``np.float64``/``np.int64``/``np.bool_`` for Python
+    values)."""
+    return [[(name, type(value)) for name, value in row.items()]
+            for row in rows]
+
+
 def assert_parity(row_engine, vec_engine, query, counters=True):
     got_row = row_engine.execute(query)
     got_vec = vec_engine.execute(query)
     assert got_vec.rows == got_row.rows
+    assert cell_types(got_vec.rows) == cell_types(got_row.rows), query
     if counters:
         for key in COUNTER_KEYS:
             assert got_vec.counters.get(key, 0) == \
@@ -129,6 +141,28 @@ class TestDtqlQueries:
         row, vec = make_engines(dataset)
         assert_parity(row, vec, dtql)
 
+    def test_answers_encode_identically_on_the_wire(self):
+        """Vectorized and adaptive answers go through the mobile
+        protocol's JSON encoding byte for byte like the row engine's."""
+        dataset = make_dataset(seed=23)
+        drugtree = dataset.drugtree()
+        engines = [QueryEngine(drugtree, EngineConfig(
+            use_semantic_cache=False, execution_mode=mode))
+            for mode in ("row", "vectorized", "adaptive")]
+        queries = self.QUERIES + (
+            "SELECT ligand_id, potent, leaf_pre, value_nm FROM bindings "
+            "WHERE p_affinity >= 6.0",
+            "SELECT min(leaf_pre), max(leaf_pre), max(potent), "
+            "sum(p_affinity) FROM bindings",
+            "SELECT potent, count(*), min(ligand_id) FROM bindings "
+            "GROUP BY potent",
+        )
+        for dtql in queries:
+            wire = [encode_payload({"rows": engine.execute(dtql).rows})
+                    for engine in engines]
+            assert wire[1] == wire[0], dtql
+            assert wire[2] == wire[0], dtql
+
     def test_provably_empty_matches(self):
         dataset = make_dataset(seed=23)
         row, vec = make_engines(dataset)
@@ -159,6 +193,7 @@ class TestLimitException:
         got_row = row.execute(dtql)
         got_vec = vec.execute(dtql)
         assert got_vec.rows == got_row.rows
+        assert cell_types(got_vec.rows) == cell_types(got_row.rows)
         assert got_vec.counters["rows_emitted"] >= \
             got_row.counters["rows_emitted"]
         gap = (got_vec.counters["rows_scanned"]
@@ -171,6 +206,54 @@ class TestLimitException:
         dtql = ("SELECT ligand_id, p_affinity FROM bindings "
                 "ORDER BY p_affinity DESC LIMIT 5")
         assert_parity(row, vec, dtql)
+
+
+class TestOrderByParity:
+    """Array sorts must order rows exactly like the row engine's stable
+    Python sort: NULLs first ascending and last descending, ties
+    (``-0.0`` vs ``0.0`` included) in arrival order both ways, NaN keys
+    as Python orders them."""
+
+    def make_engines(self, nan=False):
+        dataset = make_dataset(seed=29, n_leaves=12, n_ligands=16)
+        drugtree = dataset.drugtree()
+        proteins = drugtree.tables["proteins"]
+        extra = [(None, 0.0), ("Zeta", -0.0), (None, None), ("Alpha", 0.0),
+                 ("Zeta", None), ("", -0.0), ("Alpha", 2.5)]
+        if nan:
+            extra += [("Nan", float("nan")), ("Nan", 1.0)]
+        for i, (organism, resolution) in enumerate(extra):
+            proteins.insert({"protein_id": f"extra{i}",
+                             "organism": organism, "family": None,
+                             "ec_number": None, "resolution": resolution,
+                             "leaf_pre": i % 3})
+        return [QueryEngine(drugtree, EngineConfig(
+            use_semantic_cache=False, execution_mode=mode,
+            vector_batch_size=4)) for mode in ("row", "vectorized")]
+
+    @pytest.mark.parametrize("column", ["organism", "resolution",
+                                        "leaf_pre", "protein_id"])
+    @pytest.mark.parametrize("direction", ["ASC", "DESC"])
+    @pytest.mark.parametrize("limit", ["", " LIMIT 5"])
+    def test_sort_and_topk_match(self, column, direction, limit):
+        row, vec = self.make_engines()
+        dtql = (f"SELECT protein_id, {column} FROM proteins "
+                f"ORDER BY {column} {direction}{limit}")
+        assert_parity(row, vec, dtql)
+
+    def test_bool_keys_and_nan_keys_match(self):
+        row, vec = self.make_engines(nan=True)
+        for dtql in ("SELECT ligand_id, potent FROM bindings "
+                     "ORDER BY potent DESC",
+                     "SELECT protein_id, resolution FROM proteins "
+                     "ORDER BY resolution"):
+            got_row = row.execute(dtql).rows
+            got_vec = vec.execute(dtql).rows
+            assert [r["protein_id" if "proteins" in dtql else "ligand_id"]
+                    for r in got_vec] == \
+                [r["protein_id" if "proteins" in dtql else "ligand_id"]
+                 for r in got_row]
+            assert cell_types(got_vec) == cell_types(got_row)
 
 
 class TestFederatedParity:
@@ -204,6 +287,7 @@ class TestFederatedParity:
         got_row = row.execute(self.REMOTE_QUERY)
         got_vec = vec.execute(self.REMOTE_QUERY)
         assert got_vec.rows == got_row.rows
+        assert cell_types(got_vec.rows) == cell_types(got_row.rows)
         assert got_vec.resilience == got_row.resilience
         assert got_vec.degraded == got_row.degraded
         assert got_vec.degraded is True
@@ -225,10 +309,10 @@ class TestMutationParity:
         for row_id in doomed:
             table.delete(row_id)
         assert store.verify_against_rows()
-        assert vec.execute(dtql).rows == row.execute(dtql).rows
+        assert_parity(row, vec, dtql)
         store.compact()
         assert store.verify_against_rows()
-        assert vec.execute(dtql).rows == row.execute(dtql).rows
+        assert_parity(row, vec, dtql)
 
     def test_inserts_visible_to_both(self):
         dataset = make_dataset(seed=41, n_leaves=12, n_ligands=16)

@@ -210,10 +210,10 @@ class TestPositionsInRowIdRanges:
         store = table.column_store()
         intervals = [(3, 8), (10, 14)]
         got = store.positions_in_row_id_ranges(intervals)
-        expected = [p for p in store.live_positions()
+        expected = [p for p in store.live_positions().tolist()
                     if any(low <= store._row_ids[p] <= high
                            for low, high in intervals)]
-        assert got == expected
+        assert got.tolist() == expected
 
     def test_overlapping_intervals_deduplicated(self, tmp_path):
         db = open_db(tmp_path)
@@ -222,4 +222,4 @@ class TestPositionsInRowIdRanges:
             table.insert({"name": f"r{i}", "rank": i, "score": None})
         store = table.column_store()
         got = store.positions_in_row_id_ranges([(0, 6), (4, 9)])
-        assert got == list(range(10))
+        assert got.tolist() == list(range(10))
